@@ -8,7 +8,7 @@
 #
 # Invoked as a ctest entry:
 #
-#   cmake -DCASE=<table0|fig10|simcheck> -DBIN=<binary> -DJOBS=<n>
+#   cmake -DCASE=<pvmtop|table0|fig10|simcheck|fleet|profile> -DBIN=<binary> -DJOBS=<n>
 #         -DGOLDEN_DIR=<srcdir>/tests/golden -DWORK_DIR=<scratch>
 #         -P golden_check.cmake
 #
@@ -22,6 +22,8 @@
 #   simcheck  3-seed corrupting sweep (exit 1 expected) from a controlled
 #             cwd with a relative --postmortem-dir, at --jobs ${JOBS}:
 #             stdout vs simcheck_sweep.txt, postmortem json+txt vs tarball
+#   profile   pvm-matrix --profile over pvm/kvm-spt/ept x pagefault/boot/
+#             migration, vs profile_matrix.json (pins the critical-path fold)
 #
 # Regenerating goldens (after an intentional output change):
 #   build/bench/table0_switch_cost --json tests/golden/table0_switch_cost.json
@@ -148,6 +150,25 @@ elseif(CASE STREQUAL "fleet")
   endif()
   compare_or_die("${WORK_DIR}/fleet.json" "${GOLDEN_DIR}/fleet_fixture.json"
                  "pvm.fleet.v1 export, jobs=${JOBS}")
+
+elseif(CASE STREQUAL "profile")
+  # pvm.profile.v1 byte identity: the critical-path fold over a 9-cell
+  # matrix that exercises lock-wait naming (seven lock_wait:<resource>
+  # paths), nested ops and the migration dirty-track redirect. Regenerate
+  # after an intentional output change:
+  #   build/src/tools/pvm-matrix --modes pvm,kvm-spt,ept \
+  #       --workloads pagefault,boot,migration --seeds 1 --jobs 1 \
+  #       --out /dev/null --profile tests/golden/profile_matrix.json
+  execute_process(COMMAND "${BIN}" --modes pvm,kvm-spt,ept
+                          --workloads pagefault,boot,migration --seeds 1 --jobs 1
+                          --out "${WORK_DIR}/matrix.json"
+                          --profile "${WORK_DIR}/profile.json"
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "pvm-matrix failed (exit ${rc})")
+  endif()
+  compare_or_die("${WORK_DIR}/profile.json" "${GOLDEN_DIR}/profile_matrix.json"
+                 "pvm.profile.v1 matrix profile")
 
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
