@@ -5,8 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -14,8 +16,11 @@
 #include "src/arch/tlb.h"
 #include "src/backends/platform.h"
 #include "src/mmu/two_dim_walk.h"
+#include "src/obs/prof.h"
 #include "src/obs/span.h"
 #include "src/sim/random.h"
+#include "src/workloads/memstress.h"
+#include "src/workloads/runner.h"
 
 namespace pvm {
 namespace {
@@ -263,6 +268,59 @@ void BM_FullFaultProtocolPvmNstObserved(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_FullFaultProtocolPvmNstObserved);
+
+// Registry churn as a lazily-locking engine's teardown does it: 16k
+// Resources created in order, then destroyed in hash-map order.
+void BM_ResourceChurn(benchmark::State& state) {
+  constexpr std::uint64_t kResources = 16384;
+  for (auto _ : state) {
+    Simulation sim;
+    std::unordered_map<std::uint64_t, std::unique_ptr<Resource>> locks;
+    for (std::uint64_t gfn = 0; gfn < kResources; ++gfn) {
+      locks.emplace(gfn * 0x9e37, std::make_unique<Resource>(sim, "gfn_lock"));
+    }
+    locks.clear();
+    benchmark::DoNotOptimize(sim.resources().size());
+  }
+  state.SetItemsProcessed(state.iterations() * kResources);
+}
+BENCHMARK(BM_ResourceChurn);
+
+// The critical-path fold over one fixed recorder: a 16-process pvm (NST)
+// memstress fault run with spans on, recorded once outside the timing.
+const obs::SpanRecorder& fault_run_recorder() {
+  static const std::unique_ptr<obs::SpanRecorder> recorder = [] {
+    auto rec = std::make_unique<obs::SpanRecorder>();
+    PlatformConfig config;
+    config.mode = DeployMode::kPvmNst;
+    VirtualPlatform platform(config);
+    rec->set_enabled(true);
+    platform.sim().set_spans(rec.get());
+    SecureContainer& c = platform.create_container("c0");
+    platform.sim().spawn(c.boot(16));
+    platform.sim().run();
+    MemStressParams params;
+    params.total_bytes = 2ull << 20;
+    run_processes_in_container(platform, c, /*process_count=*/16,
+                               [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
+                                 return memstress_process(c, vcpu, proc, params);
+                               });
+    platform.sim().set_spans(nullptr);
+    rec->set_enabled(false);
+    return rec;
+  }();
+  return *recorder;
+}
+
+void BM_ProfFold(benchmark::State& state) {
+  const obs::SpanRecorder& recorder = fault_run_recorder();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prof::fold_profile(recorder));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(recorder.spans().size()));
+}
+BENCHMARK(BM_ProfFold);
 
 // Console reporter that also feeds each benchmark's wall-clock numbers into
 // the shared BenchExport, so `--json` emits the same pvm.bench.v1 schema as

@@ -5,6 +5,52 @@
 
 namespace pvm::obs {
 
+namespace {
+
+// Appends `text` JSON-escaped to `out`. The common case — nothing to
+// escape — is one scan and one append.
+void append_escaped(std::string& out, std::string_view text) {
+  const auto needs_escape = [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  };
+  std::size_t clean = 0;
+  while (clean < text.size() && !needs_escape(text[clean])) {
+    ++clean;
+  }
+  out.append(text.data(), clean);
+  for (std::size_t i = clean; i < text.size(); ++i) {
+    const char c = text[i];
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += c;
+        }
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 void JsonWriter::comma() {
   if (pending_key_) {
     pending_key_ = false;
@@ -47,7 +93,7 @@ JsonWriter& JsonWriter::end_array() {
 JsonWriter& JsonWriter::key(std::string_view key) {
   comma();
   out_ += '"';
-  out_ += escape(key);
+  append_escaped(out_, key);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -56,7 +102,7 @@ JsonWriter& JsonWriter::key(std::string_view key) {
 JsonWriter& JsonWriter::value(std::string_view text) {
   comma();
   out_ += '"';
-  out_ += escape(text);
+  append_escaped(out_, text);
   out_ += '"';
   return *this;
 }
@@ -100,34 +146,7 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
 std::string JsonWriter::escape(std::string_view text) {
   std::string result;
   result.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        result += "\\\"";
-        break;
-      case '\\':
-        result += "\\\\";
-        break;
-      case '\n':
-        result += "\\n";
-        break;
-      case '\t':
-        result += "\\t";
-        break;
-      case '\r':
-        result += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          result += buffer;
-        } else {
-          result += c;
-        }
-        break;
-    }
-  }
+  append_escaped(result, text);
   return result;
 }
 

@@ -166,6 +166,7 @@ class Resource {
 
  private:
   friend struct AcquireAwaiter;
+  friend class Simulation;  // owns registry_slot_
 
   void note_acquired() { hold_starts_.push_back(sim_->now()); }
 
@@ -195,6 +196,7 @@ class Resource {
   LatencyHistogram wait_hist_;
   LatencyHistogram hold_hist_;
   std::uint64_t flight_name_id_ = kNoFlightId;
+  std::size_t registry_slot_ = 0;  // index into Simulation::resources_
 };
 
 }  // namespace pvm

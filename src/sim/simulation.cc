@@ -1,6 +1,5 @@
 #include "src/sim/simulation.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/fault/fault.h"
@@ -193,11 +192,28 @@ std::size_t Simulation::pending_task_count() const {
   return pending;
 }
 
-void Simulation::register_resource(Resource* resource) { resources_.push_back(resource); }
+void Simulation::register_resource(Resource* resource) {
+  resource->registry_slot_ = resources_.size();
+  resources_.push_back(resource);
+}
 
 void Simulation::unregister_resource(Resource* resource) {
-  resources_.erase(std::remove(resources_.begin(), resources_.end(), resource),
-                   resources_.end());
+  resources_[resource->registry_slot_] = nullptr;
+  if (++dead_resources_ * 2 > resources_.size()) {
+    compact_resources();
+  }
+}
+
+void Simulation::compact_resources() const {
+  std::size_t live = 0;
+  for (Resource* resource : resources_) {
+    if (resource != nullptr) {
+      resource->registry_slot_ = live;
+      resources_[live++] = resource;
+    }
+  }
+  resources_.resize(live);
+  dead_resources_ = 0;
 }
 
 std::string Simulation::blocked_report() const {
@@ -223,7 +239,7 @@ std::string Simulation::blocked_report() const {
     report += "  - \"" + root_names_[static_cast<std::size_t>(root)] + "\"";
     // Name every resource FIFO queue this root task is parked in.
     bool parked = false;
-    for (const Resource* resource : resources_) {
+    for (const Resource* resource : resources()) {
       for (const auto& waiter : resource->waiters()) {
         if (waiter.root == root) {
           report += parked ? ", " : " waiting on ";
@@ -238,7 +254,7 @@ std::string Simulation::blocked_report() const {
     }
     report += "\n";
   }
-  for (const Resource* resource : resources_) {
+  for (const Resource* resource : resources()) {
     if (resource->queue_depth() == 0) {
       continue;
     }

@@ -163,7 +163,13 @@ class Simulation {
   const std::vector<std::string>& diagnostics() const { return diagnostics_; }
 
   // Live resources, in registration order (used by contention reporting).
-  const std::vector<Resource*>& resources() const { return resources_; }
+  // Compacts the registry's tombstoned slots first, hence O(dead) once.
+  const std::vector<Resource*>& resources() const {
+    if (dead_resources_ != 0) {
+      compact_resources();
+    }
+    return resources_;
+  }
 
   // Runs until the event queue is empty. Returns the number of events
   // processed. Throws if a root task terminated with an exception.
@@ -188,7 +194,10 @@ class Simulation {
   std::string blocked_report() const;
 
   // Resource registry (used by blocked_report). Resources register on
-  // construction and unregister on destruction.
+  // construction and unregister on destruction, both O(1) amortized: each
+  // Resource remembers its slot, unregistering tombstones it, and the slots
+  // are compacted (stably, so registration order survives) once more than
+  // half are dead or when resources() is read.
   void register_resource(Resource* resource);
   void unregister_resource(Resource* resource);
 
@@ -260,6 +269,7 @@ class Simulation {
 
   std::uint64_t random_tie_key(std::uint64_t seq) const;
   void rethrow_failed_roots();
+  void compact_resources() const;
 
   // Max same-timestamp events resumed per queue operation (FIFO only).
   static constexpr std::size_t kDispatchBatch = 64;
@@ -281,7 +291,9 @@ class Simulation {
   CalendarQueue queue_;
   std::vector<std::coroutine_handle<TaskPromise<void>>> roots_;
   std::vector<std::string> root_names_;
-  std::vector<Resource*> resources_;
+  // Registration order, with nullptr tombstones left by unregister_resource.
+  mutable std::vector<Resource*> resources_;
+  mutable std::size_t dead_resources_ = 0;
   std::vector<std::string> diagnostics_;
   obs::SpanRecorder* spans_ = nullptr;
   fault::FaultInjector* faults_ = nullptr;

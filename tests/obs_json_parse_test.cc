@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "src/obs/json.h"
 #include "src/obs/json_parse.h"
 
 namespace pvm::obs {
@@ -119,6 +120,30 @@ TEST(JsonParseAdversarial, ErrorsCarryByteOffsets) {
   std::string error;
   EXPECT_FALSE(json_parse("{\"a\": tru}", &value, &error));
   EXPECT_NE(error.find("offset"), std::string::npos);
+}
+
+// The writer escapes keys and values straight into its buffer; pin the exact
+// bytes for every escaped character class, and that they parse back.
+TEST(JsonWriterEscaping, PinsEscapedBytesInKeysAndValues) {
+  const std::string hostile = std::string("q\"b\\n\nt\tr\rc") + '\x01' + "z";
+  const std::string escaped = "q\\\"b\\\\n\\nt\\tr\\rc\\u0001z";
+  EXPECT_EQ(JsonWriter::escape(hostile), escaped);
+  EXPECT_EQ(JsonWriter::escape("plain"), "plain");
+
+  JsonWriter w;
+  w.begin_object();
+  w.key(hostile).value(std::string_view(hostile));
+  w.key("plain").value("ok");
+  w.end_object();
+  EXPECT_EQ(w.str(), "{\"" + escaped + "\":\"" + escaped + "\",\"plain\":\"ok\"}");
+
+  JsonValue value;
+  std::string error;
+  ASSERT_TRUE(json_parse(w.str(), &value, &error)) << error;
+  const JsonValue* round_trip = value.find(hostile);
+  ASSERT_NE(round_trip, nullptr);
+  ASSERT_TRUE(round_trip->is_string());
+  EXPECT_EQ(round_trip->string, hostile);
 }
 
 }  // namespace

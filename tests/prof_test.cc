@@ -1,14 +1,18 @@
 // pvm::prof unit tests: the critical-path fold over hand-built recorder
 // streams, lock-wait naming, cross-track migration attribution, the tail
-// cohort, merge order-independence, and render/parse round-trip identity.
+// cohort, merge order-independence, render/parse round-trip identity, and
+// the fold's agreement with the recorder's online aggregates on a real run.
 
 #include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/backends/platform.h"
 #include "src/obs/prof.h"
 #include "src/obs/span.h"
+#include "src/workloads/memstress.h"
+#include "src/workloads/runner.h"
 
 namespace pvm {
 namespace {
@@ -200,6 +204,112 @@ TEST(ProfFold, FirstSpanOffsetFoldsOnlyTheIncrement) {
   const prof::ProfDoc full_doc = prof::fold_profile(rig.rec);
   const prof::OpProfile& full = only_op(full_doc, "op.syscall");
   EXPECT_EQ(full.latency.count(), 2u);
+}
+
+// The fold rebuilds from raw records what the recorder aggregates online at
+// close time, so on a complete run (every span closed, none dropped, no
+// migration redirect) the two must agree per op kind: instance count and
+// latency sum against op_latency(op), and the sum of path exclusive time
+// against the op's row of the op-by-phase matrix.
+void expect_fold_matches_recorder(const SpanRecorder& rec, const prof::ProfDoc& doc) {
+  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+    const auto op = static_cast<Phase>(i);
+    if (!obs::phase_is_op(op)) {
+      continue;
+    }
+    const LatencyHistogram& online = rec.op_latency(op);
+    std::uint64_t matrix_ns = 0;
+    for (std::size_t phase = 0; phase < obs::kPhaseCount; ++phase) {
+      matrix_ns += rec.op_phase_ns(op, static_cast<Phase>(phase));
+    }
+    const auto it = doc.ops.find(obs::phase_name(op));
+    if (it == doc.ops.end()) {
+      EXPECT_EQ(online.count(), 0u) << obs::phase_name(op);
+      EXPECT_EQ(matrix_ns, 0u) << obs::phase_name(op);
+      continue;
+    }
+    const prof::OpProfile& profile = it->second;
+    EXPECT_EQ(profile.latency.count(), online.count()) << obs::phase_name(op);
+    EXPECT_EQ(profile.latency.sum(), online.sum()) << obs::phase_name(op);
+    std::uint64_t path_ns = 0;
+    for (const auto& [path, stat] : profile.paths) {
+      path_ns += stat.exclusive_ns;
+    }
+    EXPECT_EQ(path_ns, matrix_ns) << obs::phase_name(op);
+  }
+}
+
+TEST(ProfFold, MatchesRecorderAggregatesOnRealPvmRun) {
+  PlatformConfig config;
+  config.mode = DeployMode::kPvmNst;
+  VirtualPlatform platform(config);
+  SpanRecorder rec;
+  rec.set_enabled(true);
+  platform.sim().set_spans(&rec);
+  SecureContainer& container = platform.create_container("c0");
+  platform.sim().spawn(container.boot(16), "boot");
+  platform.sim().run();
+
+  MemStressParams params;
+  params.total_bytes = 1ull << 20;
+  params.chunk_bytes = 256ull << 10;
+  run_processes_in_container(platform, container, /*process_count=*/8,
+                             [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
+                               return memstress_process(container, vcpu, proc, params);
+                             });
+  ASSERT_EQ(rec.dropped_spans(), 0u);
+
+  const prof::ProfDoc doc = prof::fold_profile(rec);
+  // The run must exercise nested phases, named lock waits and several op
+  // kinds for the comparison to mean something.
+  ASSERT_TRUE(doc.ops.contains("op.page_fault"));
+  ASSERT_TRUE(doc.ops.contains("op.boot"));
+  bool named_wait = false;
+  for (const auto& [path, stat] : doc.ops.at("op.page_fault").paths) {
+    named_wait = named_wait || path.find(";lock_wait:") != std::string::npos;
+  }
+  EXPECT_TRUE(named_wait);
+  EXPECT_FALSE(doc.ops.contains("op.migration"));
+  expect_fold_matches_recorder(rec, doc);
+}
+
+TEST(ProfFold, PendingRootKeepsItsOwnOpButDropsUnattributedTime) {
+  Rig rig;
+  // op.syscall [0, ...) never closes. Inside it: a nested op.page_fault
+  // [10, 40) with spt_fill [20, 30), then a bare spt_fill [50, 60).
+  rig.rec.begin(Phase::kOpSyscall);
+  rig.now = 10;
+  auto fault = rig.begin(Phase::kOpPageFault);
+  rig.now = 20;
+  auto fill = rig.begin(Phase::kSptFill);
+  rig.now = 30;
+  rig.end(fill);
+  rig.now = 40;
+  rig.end(fault);
+  rig.now = 50;
+  auto bare = rig.begin(Phase::kSptFill);
+  rig.now = 60;
+  rig.end(bare);
+
+  const prof::ProfDoc doc = prof::fold_profile(rig.rec);
+  // The page fault's parent never closed, so it is a pending root: it still
+  // folds as its own instance, and agrees with the recorder exactly.
+  const prof::OpProfile& pf = only_op(doc, "op.page_fault");
+  EXPECT_EQ(pf.latency.count(), 1u);
+  EXPECT_EQ(pf.latency.sum(), 30u);
+  EXPECT_EQ(pf.paths.at("op.page_fault").exclusive_ns, 20u);
+  EXPECT_EQ(pf.paths.at("op.page_fault;spt_fill").exclusive_ns, 10u);
+  EXPECT_EQ(rig.rec.op_latency(Phase::kOpPageFault).count(), 1u);
+  EXPECT_EQ(rig.rec.op_phase_ns(Phase::kOpPageFault, Phase::kOpPageFault), 20u);
+  EXPECT_EQ(rig.rec.op_phase_ns(Phase::kOpPageFault, Phase::kSptFill), 10u);
+  // The one place the equality breaks: the bare spt_fill is a pending root
+  // with no op above it in the raw stream (its op.syscall never closed, so
+  // no record exists), and the fold has no instance to charge it to. The
+  // recorder charged it online to the still-open op.syscall's matrix row,
+  // which has no latency sample.
+  EXPECT_FALSE(doc.ops.contains("op.syscall"));
+  EXPECT_EQ(rig.rec.op_latency(Phase::kOpSyscall).count(), 0u);
+  EXPECT_EQ(rig.rec.op_phase_ns(Phase::kOpSyscall, Phase::kSptFill), 10u);
 }
 
 prof::ProfDoc sample_doc(std::uint64_t scale) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/sim/random.h"
@@ -481,6 +483,59 @@ TEST(BlockedReportTest, EmptyWhenEverythingCompleted) {
   sim.run();
   EXPECT_TRUE(sim.all_tasks_done());
   EXPECT_TRUE(sim.blocked_report().empty());
+}
+
+std::vector<std::string> registry_names(const Simulation& sim) {
+  std::vector<std::string> names;
+  for (const Resource* resource : sim.resources()) {
+    names.push_back(resource->name());
+  }
+  return names;
+}
+
+// Unregistration tombstones a slot and compaction is deferred; every read
+// must still see exactly the live resources, in registration order, across
+// compactions and registrations that land after them.
+TEST(ResourceRegistryTest, KeepsRegistrationOrderAcrossChurn) {
+  Simulation sim;
+  std::vector<std::unique_ptr<Resource>> locks;
+  for (int i = 0; i < 8; ++i) {
+    locks.push_back(std::make_unique<Resource>(sim, "r" + std::to_string(i)));
+  }
+  locks[1].reset();  // 1 of 8 dead: tombstoned, not yet compacted
+  locks[6].reset();
+  EXPECT_EQ(registry_names(sim),
+            (std::vector<std::string>{"r0", "r2", "r3", "r4", "r5", "r7"}));
+  locks.push_back(std::make_unique<Resource>(sim, "r8"));
+  locks[0].reset();
+  locks[4].reset();
+  locks[7].reset();
+  locks[3].reset();  // more than half dead: compacts in unregister
+  EXPECT_EQ(registry_names(sim), (std::vector<std::string>{"r2", "r5", "r8"}));
+  locks.push_back(std::make_unique<Resource>(sim, "r9"));
+  locks[5].reset();
+  EXPECT_EQ(registry_names(sim), (std::vector<std::string>{"r2", "r8", "r9"}));
+  locks.clear();
+  EXPECT_TRUE(sim.resources().empty());
+}
+
+// blocked_report reads the compacted registry: a resource destroyed before
+// the deadlock is neither named nor dereferenced.
+TEST(ResourceRegistryTest, BlockedReportSkipsDestroyedResources) {
+  Simulation sim;
+  auto gone = std::make_unique<Resource>(sim, "gone");
+  Resource held(sim, "held");
+  gone.reset();
+  sim.spawn([](Simulation& s, Resource& r) -> Task<void> {
+    ScopedResource guard = co_await r.scoped();
+    co_await s.delay(1);
+    ScopedResource again = co_await r.scoped();  // self-deadlock
+  }(sim, held), "self");
+  sim.run();
+  const std::string report = sim.blocked_report();
+  EXPECT_NE(report.find("\"self\" waiting on \"held\""), std::string::npos) << report;
+  EXPECT_EQ(report.find("gone"), std::string::npos) << report;
+  sim.abandon_pending();
 }
 
 TEST(RandomTest, ReproducibleStreams) {
