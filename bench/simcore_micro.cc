@@ -333,9 +333,11 @@ class ExportingReporter : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) {
         continue;
       }
+      // GetAdjusted*Time() are in the benchmark's own time unit.
+      const double to_ns = 1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
       std::vector<std::pair<std::string, double>> values = {
-          {"real_time_ns", run.GetAdjustedRealTime()},
-          {"cpu_time_ns", run.GetAdjustedCPUTime()},
+          {"real_time_ns", run.GetAdjustedRealTime() * to_ns},
+          {"cpu_time_ns", run.GetAdjustedCPUTime() * to_ns},
       };
       for (const auto& [name, counter] : run.counters) {
         values.emplace_back(name, counter.value);

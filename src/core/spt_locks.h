@@ -15,7 +15,6 @@
 #define PVM_SRC_CORE_SPT_LOCKS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -69,20 +68,21 @@ class SptLockSet {
   bool rmap_lock_idle(std::uint64_t gfn) const {
     const auto it = rmap_locks_.find(gfn);
     return it == rmap_locks_.end() ||
-           (it->second->available() && it->second->queue_depth() == 0);
+           (it->second.available() && it->second.queue_depth() == 0);
   }
 
  private:
-  using LockMap = std::unordered_map<std::uint64_t, std::unique_ptr<Resource>>;
+  // Each lock lives in its map node: node-based maps never relocate their
+  // values, so a Resource (registered with the Simulation by address) stays
+  // put through rehashes.
+  using LockMap = std::unordered_map<std::uint64_t, Resource>;
 
   Resource& lazy_lock(LockMap& map, std::uint64_t key, const char* suffix) {
     auto it = map.find(key);
     if (it == map.end()) {
-      it = map.emplace(key, std::make_unique<Resource>(*sim_, name_ + suffix +
-                                                                  std::to_string(key)))
-               .first;
+      it = map.try_emplace(key, *sim_, name_ + suffix + std::to_string(key)).first;
     }
-    return *it->second;
+    return it->second;
   }
 
   Simulation* sim_;

@@ -20,8 +20,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/metrics/histogram.h"
 #include "src/obs/flight.h"
@@ -31,6 +33,37 @@
 namespace pvm {
 
 class Resource;
+
+// FIFO queue over a vector and a head index. Allocates nothing until the
+// first push; clears (keeping its capacity) whenever it drains, and compacts
+// stably once the head passes half the vector, so a queue that never drains
+// stays within twice its peak depth.
+template <typename T>
+class VectorFifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  const T& front() const { return items_[head_]; }
+  // Live items, oldest first.
+  std::span<const T> items() const { return std::span<const T>(items_).subspan(head_); }
+
+  void push_back(const T& item) { items_.push_back(item); }
+
+  void pop_front() {
+    ++head_;
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (2 * head_ > items_.size()) {
+      items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
 
 // RAII guard: releases the resource when destroyed (coroutine frames keep the
 // guard alive across suspension points, so this is suspension-safe).
@@ -158,7 +191,8 @@ class Resource {
   SimTime total_hold_ns() const { return total_hold_ns_; }
   std::size_t peak_queue_depth() const { return peak_queue_depth_; }
   std::size_t queue_depth() const { return waiters_.size(); }
-  const std::deque<Waiter>& waiters() const { return waiters_; }
+  // Queued waiters, oldest first.
+  std::span<const Waiter> waiters() const { return waiters_.items(); }
   // Distribution of contended waits (uncontended acquisitions are not
   // recorded: the interesting signal is queueing, not the fast path).
   const LatencyHistogram& wait_histogram() const { return wait_hist_; }
@@ -185,14 +219,14 @@ class Resource {
   std::string name_;
   std::uint32_t capacity_;
   std::uint32_t available_;
-  std::deque<Waiter> waiters_;
+  VectorFifo<Waiter> waiters_;
 
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contended_acquisitions_ = 0;
   SimTime total_wait_ns_ = 0;
   SimTime total_hold_ns_ = 0;
   std::size_t peak_queue_depth_ = 0;
-  std::deque<SimTime> hold_starts_;
+  VectorFifo<SimTime> hold_starts_;
   LatencyHistogram wait_hist_;
   LatencyHistogram hold_hist_;
   std::uint64_t flight_name_id_ = kNoFlightId;

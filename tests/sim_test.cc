@@ -538,6 +538,122 @@ TEST(ResourceRegistryTest, BlockedReportSkipsDestroyedResources) {
   sim.abandon_pending();
 }
 
+// A capacity-1 lock whose queue stays non-empty for 149 handoffs: the
+// waiter FIFO compacts mid-queue (its head passes half the vector once
+// arrivals stop) and must still resume waiters in arrival order.
+TEST(ResourceFifoTest, LongLivedQueueCompactsAndStaysFifo) {
+  Simulation sim;
+  Resource lock(sim, "lock");
+  constexpr int kTasks = 150;
+  std::vector<int> order;
+  std::vector<SimTime> queued_at_100_handoffs;
+  for (int i = 0; i < kTasks; ++i) {
+    // Task i arrives at t=i and holds for 1000 ns: everyone after task 0
+    // queues, and the queue only drains with the last handoff.
+    sim.spawn([](Simulation& s, Resource& r, int id, std::vector<int>& out) -> Task<void> {
+      co_await s.delay(static_cast<SimTime>(id));
+      ScopedResource guard = co_await r.scoped();
+      out.push_back(id);
+      co_await s.delay(1000);
+    }(sim, lock, i, order));
+  }
+  sim.spawn([](Simulation& s, Resource& r, std::vector<SimTime>& out) -> Task<void> {
+    co_await s.delay(100 * 1000 + 500);
+    for (const Resource::Waiter& waiter : r.waiters()) {
+      out.push_back(waiter.enqueued);
+    }
+  }(sim, lock, queued_at_100_handoffs));
+  sim.run();
+
+  std::vector<int> expected(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    expected[static_cast<std::size_t>(i)] = i;
+  }
+  EXPECT_EQ(order, expected);
+  // After 100 handoffs tasks 101..149 are queued, oldest first; waiter i
+  // joined at t=i.
+  std::vector<SimTime> still_queued;
+  for (SimTime t = 101; t < static_cast<SimTime>(kTasks); ++t) {
+    still_queued.push_back(t);
+  }
+  EXPECT_EQ(queued_at_100_handoffs, still_queued);
+  EXPECT_EQ(lock.peak_queue_depth(), static_cast<std::size_t>(kTasks - 1));
+  EXPECT_EQ(lock.queue_depth(), 0u);
+  // Task i waits from t=i to t=1000*i.
+  SimTime wait = 0;
+  for (SimTime i = 1; i < static_cast<SimTime>(kTasks); ++i) {
+    wait += 1000 * i - i;
+  }
+  EXPECT_EQ(lock.total_wait_ns(), wait);
+  EXPECT_EQ(lock.total_hold_ns(), 1000u * kTasks);
+}
+
+// On a pool, each release is matched to the oldest outstanding acquisition.
+TEST(ResourceFifoTest, PoolHoldTimesAreFifoMatched) {
+  Simulation sim;
+  Resource pool(sim, "pool", 3);
+  struct Job {
+    SimTime arrive;
+    SimTime hold;
+  };
+  // Acquisitions at 0,0,0 (jobs 0-2), 10 (job 3, handed job 1's unit) and
+  // 30 (job 4, handed job 2's or job 3's unit). Releases at 10, 30, 30, 50,
+  // 70 match the starts in FIFO order: 10-0, 30-0, 30-0, 50-10, 70-30.
+  const std::vector<Job> jobs = {{0, 50}, {0, 10}, {0, 30}, {5, 20}, {5, 40}};
+  for (const Job& job : jobs) {
+    sim.spawn([](Simulation& s, Resource& r, Job j) -> Task<void> {
+      co_await s.delay(j.arrive);
+      ScopedResource guard = co_await r.scoped();
+      co_await s.delay(j.hold);
+    }(sim, pool, job));
+  }
+  sim.run();
+  EXPECT_EQ(pool.total_hold_ns(), 10u + 30u + 30u + 40u + 40u);
+  EXPECT_EQ(pool.hold_histogram().count(), 5u);
+  // Job 0 really held for 50 ns, but FIFO matching never pairs a release
+  // with a span that long.
+  EXPECT_EQ(pool.hold_histogram().max(), 40u);
+  EXPECT_EQ(pool.total_wait_ns(), (10u - 5u) + (30u - 5u));
+}
+
+// Three waiters deadlock on a lock whose queue compacted once before: the
+// report must still list their ages oldest first.
+TEST(ResourceFifoTest, BlockedReportListsAgesOldestFirstAfterCompaction) {
+  Simulation sim;
+  Resource lock(sim, "L");
+  // Task i arrives at t=i. Task 0 holds until 100, tasks 1 and 2 for 10 ns
+  // each; the third pop (task 3 at t=120) passes half of the five queued
+  // entries and compacts. Task 3 then re-acquires the lock it holds at t=130,
+  // queueing behind tasks 4 and 5.
+  for (int i = 0; i < 6; ++i) {
+    sim.spawn([](Simulation& s, Resource& r, int id) -> Task<void> {
+      co_await s.delay(static_cast<SimTime>(id));
+      ScopedResource guard = co_await r.scoped();
+      co_await s.delay(id == 0 ? 100 : 10);
+      if (id == 3) {
+        ScopedResource again = co_await r.scoped();  // self-deadlock
+      }
+    }(sim, lock, i), "t" + std::to_string(i));
+  }
+  sim.run();
+  EXPECT_EQ(sim.now(), 130u);
+  EXPECT_EQ(lock.queue_depth(), 3u);
+  const std::string report = sim.blocked_report();
+  EXPECT_NE(report.find("resource \"L\": capacity 1, 3 queued, ages ns [126, 125, 0]\n"),
+            std::string::npos)
+      << report;
+  sim.abandon_pending();
+}
+
+// Shadow paging creates one Resource per touched gfn and shadow page (pvm
+// (NST) holds ~17,000 per perfbench pagefault repetition), so these sizes
+// set most of that workload's peak_rss_mb: at 1352 B per Resource it read
+// ~62 MiB, at 296 B ~26 MiB. Raise the bounds only on purpose.
+TEST(ResourceFootprintTest, ResourceAndHistogramStaySmall) {
+  EXPECT_LE(sizeof(Resource), 320u);
+  EXPECT_LE(sizeof(LatencyHistogram), 64u);
+}
+
 TEST(RandomTest, ReproducibleStreams) {
   Xoshiro256 a(7);
   Xoshiro256 b(7);
