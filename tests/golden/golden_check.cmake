@@ -8,7 +8,8 @@
 #
 # Invoked as a ctest entry:
 #
-#   cmake -DCASE=<pvmtop|table0|fig10|simcheck|fleet|profile> -DBIN=<binary> -DJOBS=<n>
+#   cmake -DCASE=<pvmtop|table0|fig10|simcheck|fleet|profile|digest> -DBIN=<binary>
+#         -DJOBS=<n> -DNAME=<digest name>
 #         -DGOLDEN_DIR=<srcdir>/tests/golden -DWORK_DIR=<scratch>
 #         -P golden_check.cmake
 #
@@ -24,6 +25,13 @@
 #             stdout vs simcheck_sweep.txt, postmortem json+txt vs tarball
 #   profile   pvm-matrix --profile over pvm/kvm-spt/ept x pagefault/boot/
 #             migration, vs profile_matrix.json (pins the critical-path fold)
+#   digest    -DNAME=<name>: run one binary from a controlled cwd and compare
+#             the SHA-256 of each output file against the `<name>/<file>`
+#             lines of bench_digests.sha256 (outputs too large to check in:
+#             0.03-52 MB each). NAME is a figure/table binary (stdout +
+#             --json at PVM_BENCH_SCALE=0.01), fig10_observers (fig10 with
+#             every observer flag) or matrix_timeseries (pvm-matrix
+#             --timeseries at --jobs ${JOBS}).
 #
 # Regenerating goldens (after an intentional output change):
 #   build/bench/table0_switch_cost --json tests/golden/table0_switch_cost.json
@@ -34,6 +42,9 @@
 #       --postmortem-dir golden-postmortems > simcheck_sweep.txt
 #   then re-pack fig10 + postmortems: cmake -E tar czf \
 #       tests/golden/golden_byte_identity.tar.gz <artifacts>
+#   digest: a mismatch prints the replacement manifest line; or run the
+#   digest ctest cases and, in build/tests/golden-work/digest-<name>,
+#   `sha256sum <files>` with each file prefixed by `<name>/`.
 
 if(NOT DEFINED CASE OR NOT DEFINED BIN OR NOT DEFINED GOLDEN_DIR OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "golden_check.cmake needs -DCASE -DBIN -DGOLDEN_DIR -DWORK_DIR")
@@ -169,6 +180,50 @@ elseif(CASE STREQUAL "profile")
   endif()
   compare_or_die("${WORK_DIR}/profile.json" "${GOLDEN_DIR}/profile_matrix.json"
                  "pvm.profile.v1 matrix profile")
+
+elseif(CASE STREQUAL "digest")
+  if(NOT DEFINED NAME)
+    message(FATAL_ERROR "digest case needs -DNAME")
+  endif()
+  # Relative output paths: the bench binaries echo them to stdout.
+  if(NAME STREQUAL "fig10_observers")
+    set(ENV{PVM_BENCH_SCALE} "0.01")
+    set(args --json out.json --trace trace.json --timeseries ts.json --ts-window 500000
+             --profile profile.json --report --alloc-stats --flight-capacity 64
+             --slo "boot:boot_latency_ns:p99<=15ms" --slo "lock:lock_wait_ns:p99<=1ms:window")
+  elseif(NAME STREQUAL "matrix_timeseries")
+    if(NOT DEFINED JOBS)
+      set(JOBS 1)
+    endif()
+    set(args --modes all --workloads all --policies fifo,random
+             --faults none,bootstorm,latency,migration-stall --seeds 1 --jobs ${JOBS}
+             --out matrix.json --timeseries ts.json)
+  else()
+    set(ENV{PVM_BENCH_SCALE} "0.01")
+    set(args --json out.json)
+  endif()
+  execute_process(COMMAND "${BIN}" ${args}
+                  WORKING_DIRECTORY "${WORK_DIR}"
+                  OUTPUT_FILE "${WORK_DIR}/stdout.txt"
+                  RESULT_VARIABLE rc ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${NAME}: ${BIN} failed (exit ${rc})")
+  endif()
+  file(STRINGS "${GOLDEN_DIR}/bench_digests.sha256" entries REGEX "^[0-9a-f]+  ${NAME}/")
+  if(NOT entries)
+    message(FATAL_ERROR "bench_digests.sha256 has no ${NAME}/ entries")
+  endif()
+  foreach(entry IN LISTS entries)
+    string(REGEX REPLACE "^([0-9a-f]+)  ${NAME}/(.*)$" "\\1;\\2" parts "${entry}")
+    list(GET parts 0 expected)
+    list(GET parts 1 output)
+    file(SHA256 "${WORK_DIR}/${output}" actual)
+    if(NOT actual STREQUAL expected)
+      message(FATAL_ERROR "digest mismatch (${NAME}/${output}): got\n"
+                          "${actual}  ${NAME}/${output}")
+    endif()
+    message(STATUS "digest matches: ${NAME}/${output}")
+  endforeach()
 
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
