@@ -9,25 +9,16 @@
 #ifndef PVM_BENCH_BENCH_COMMON_H_
 #define PVM_BENCH_BENCH_COMMON_H_
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/entries.h"
 #include "src/backends/platform.h"
-#include "src/fault/fault.h"
 #include "src/metrics/table.h"
-#include "src/obs/chrome_trace.h"
-#include "src/obs/metrics_json.h"
-#include "src/obs/obs_report.h"
-#include "src/obs/prof.h"
-#include "src/obs/span.h"
-#include "src/obs/ts.h"
-#include "src/workloads/runner.h"
 
 namespace pvm {
 
@@ -83,9 +74,8 @@ inline void print_header(const char* experiment, const char* paper_ref, const ch
 //   --report         print the pvm-report text summary (top contended
 //                    resources, phase breakdown, op latencies) per run
 //   --faults <plan>  arm a deterministic fault plan ("<preset>[:seed=N]",
-//                    see fault::FaultPlan::parse) on every platform passed
-//                    to arm_faults(); "none" disables, including a bench's
-//                    own default plan
+//                    see fault::FaultPlan::parse) on every platform; "none"
+//                    disables, including a bench's own default plan
 //   --alloc-stats    add the `alloc` section (event-queue calendar shape,
 //                    slab live/high-water accounting, shadow-engine node
 //                    slabs) to each exported run; off by default so the
@@ -108,260 +98,169 @@ inline void print_header(const char* experiment, const char* paper_ref, const ch
 //                    fold-time p99, worst-instance anchors), one namespace
 //                    per run ("<label>/<op>"). Render with pvm-profile.
 //
-// With none of the flags given, observe()/record_run() are no-ops and no
-// span recorder is attached to any platform, so simulations run exactly as
-// before (the instrumented sites see a null recorder — one pointer check).
-class BenchIo {
+// A BenchIo is the binary's bench::Observer, filled from these flags; it
+// writes the documents when the binary finishes. An unknown argument, a
+// missing value or a malformed one prints a message and exits 2. With none
+// of the flags given nothing is recorded and no span recorder is attached,
+// so simulations run exactly as without an observer (the instrumented sites
+// see a null recorder — one pointer check).
+class BenchIo final : public bench::Observer {
  public:
-  BenchIo(int argc, char** argv, std::string bench_name)
-      : export_(std::move(bench_name)) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--json" && i + 1 < argc) {
-        json_path_ = argv[++i];
-      } else if (arg == "--trace" && i + 1 < argc) {
-        trace_path_ = argv[++i];
-      } else if (arg == "--report") {
-        report_ = true;
-      } else if (arg == "--faults" && i + 1 < argc) {
-        fault_plan_ = argv[++i];
-      } else if (arg == "--alloc-stats") {
-        alloc_stats_ = true;
-      } else if (arg == "--timeseries" && i + 1 < argc) {
-        timeseries_path_ = argv[++i];
-      } else if (arg == "--ts-window" && i + 1 < argc) {
-        ts_window_ns_ = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--slo" && i + 1 < argc) {
-        ts::SloSpec spec;
-        std::string error;
-        if (!ts::parse_slo_spec(argv[++i], &spec, &error)) {
-          std::fprintf(stderr, "[bench] bad --slo spec '%s': %s\n", argv[i],
-                       error.c_str());
-          std::exit(2);
-        }
-        slo_specs_.push_back(std::move(spec));
-      } else if (arg == "--flight-capacity" && i + 1 < argc) {
-        flight_capacity_ = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--profile" && i + 1 < argc) {
-        profile_path_ = argv[++i];
-      }
-    }
-    instance_slot() = this;
-  }
+  // Arguments no flag consumes are rejected, unless `unconsumed` is given:
+  // then they are appended to it after argv[0], for another parser.
+  BenchIo(int argc, char** argv, std::string bench_name,
+          std::vector<char*>* unconsumed = nullptr)
+      : BenchIo(parse(argc, argv, unconsumed), std::move(bench_name)) {}
 
-  BenchIo(const BenchIo&) = delete;
-  BenchIo& operator=(const BenchIo&) = delete;
-
-  ~BenchIo() {
-    finish();
-    if (instance_slot() == this) {
-      instance_slot() = nullptr;
-    }
-  }
-
-  static BenchIo& instance() {
-    if (instance_slot() == nullptr) {
-      static BenchIo inactive(0, nullptr, "bench");
-      return inactive;
-    }
-    return *instance_slot();
-  }
-
-  bool active() const {
-    return !json_path_.empty() || !trace_path_.empty() || report_ ||
-           !timeseries_path_.empty() || !profile_path_.empty();
-  }
+  ~BenchIo() { finish(); }
 
   // A bench that models faults by default (fig12's boot storm) declares its
   // plan here; an explicit --faults (including "none") wins.
   void set_default_fault_plan(const std::string& plan) {
-    if (fault_plan_.empty()) {
-      fault_plan_ = plan;
+    if (options().fault_plan.empty()) {
+      options().fault_plan = plan;
     }
   }
-  const std::string& fault_plan() const { return fault_plan_; }
-
-  // Arms the configured fault plan on a platform (no-op for ""/"none").
-  // The injector lives in the BenchIo so it outlives the platform's runs;
-  // each call gets a fresh injector so every run replays the same plan from
-  // the same seed regardless of run order.
-  fault::FaultInjector* arm_faults(VirtualPlatform& platform) {
-    if (fault_plan_.empty() || fault_plan_ == "none") {
-      return nullptr;
-    }
-    injectors_.push_back(std::make_unique<fault::FaultInjector>());
-    injectors_.back()->arm(fault::FaultPlan::parse(fault_plan_));
-    platform.arm_faults(injectors_.back().get());
-    return injectors_.back().get();
-  }
-
-  // Attach a fresh span recorder to a simulation. Call between constructing
-  // the simulation/platform and running work on it.
-  void observe(Simulation& sim) {
-    if (!active()) {
-      return;
-    }
-    recorders_.push_back(std::make_unique<obs::SpanRecorder>());
-    obs::SpanRecorder* recorder = recorders_.back().get();
-    recorder->set_enabled(true);
-    sim.set_spans(recorder);
-    by_sim_[&sim] = recorder;
-    if (!timeseries_path_.empty()) {
-      collectors_.push_back(std::make_unique<ts::Collector>());
-      ts::Collector* collector = collectors_.back().get();
-      if (ts_window_ns_ != 0) {
-        collector->set_window(ts_window_ns_);
-      }
-      sim.set_ts(collector);
-      collector_by_sim_[&sim] = collector;
-    }
-  }
-
-  void observe(VirtualPlatform& platform) {
-    // Ring capacity is orthogonal to the export flags: it reshapes the
-    // always-on recorder, so apply it before the active() early-out.
-    if (flight_capacity_ != 0) {
-      platform.flight().set_capacity(flight_capacity_);
-    }
-    observe(platform.sim());
-    if (active()) {
-      // Remembered so runs recorded through the sim-level hooks can still
-      // reach the platform's shadow-engine slabs for --alloc-stats.
-      platform_by_sim_[&platform.sim()] = &platform;
-    }
-  }
-
-  // Capture one completed run while its simulation is still alive. `values`
-  // are the bench's own headline numbers for this run.
-  void record_run(const std::string& label, Simulation& sim, CounterSet& counters,
-                  std::vector<std::pair<std::string, double>> values = {}) {
-    record_run_impl(label, sim, counters, std::move(values), nullptr);
-  }
-
-  void record_run(const std::string& label, VirtualPlatform& platform,
-                  std::vector<std::pair<std::string, double>> values = {}) {
-    if (alloc_stats_) {
-      // Engine slabs are only reachable through the platform; captured here
-      // so the sim-level impl can fold them into the alloc section.
-      const SlabStats engines = platform.engine_alloc_stats();
-      record_run_impl(label, platform.sim(), platform.counters(), std::move(values),
-                      &engines);
-      return;
-    }
-    record_run_impl(label, platform.sim(), platform.counters(), std::move(values), nullptr);
-  }
-
-  // A platform remembered by observe(), or null (sim-only benches).
-  VirtualPlatform* platform_for(const Simulation& sim) const {
-    const auto it = platform_by_sim_.find(&sim);
-    return it == platform_by_sim_.end() ? nullptr : it->second;
-  }
-
-  // A values-only row (derived numbers with no backing platform).
-  void record_values(const std::string& label,
-                     std::vector<std::pair<std::string, double>> values) {
-    if (json_path_.empty()) {
-      return;
-    }
-    export_.add_values(label, std::move(values));
-  }
+  const std::string& fault_plan() { return options().fault_plan; }
 
   void finish() {
     if (finished_) {
       return;
     }
     finished_ = true;
-    if (!json_path_.empty()) {
-      write_file(json_path_, export_.to_json());
-      std::printf("[bench] wrote %zu run(s) to %s\n", export_.run_count(), json_path_.c_str());
+    if (!files_.json.empty()) {
+      write_file(files_.json, bench().to_json());
+      std::printf("[bench] wrote %zu run(s) to %s\n", bench().run_count(), files_.json.c_str());
     }
-    if (!trace_path_.empty()) {
-      std::printf("[bench] wrote Chrome trace to %s\n", trace_path_.c_str());
+    if (!files_.trace.empty()) {
+      if (!trace_json().empty()) {
+        write_file(files_.trace, trace_json());
+      }
+      std::printf("[bench] wrote Chrome trace to %s\n", files_.trace.c_str());
     }
-    if (!timeseries_path_.empty()) {
-      ts::evaluate_slos(&ts_doc_, slo_specs_);
-      write_file(timeseries_path_, ts::render_timeseries_json(ts_doc_));
+    if (!files_.timeseries.empty()) {
+      ts::TsDoc& doc = timeseries();
+      ts::evaluate_slos(&doc, files_.slos);
+      write_file(files_.timeseries, ts::render_timeseries_json(doc));
       std::size_t failed = 0;
-      for (const ts::SloResult& slo : ts_doc_.slos) {
+      for (const ts::SloResult& slo : doc.slos) {
         if (!slo.pass) {
           ++failed;
         }
       }
       std::printf("[bench] wrote timeseries (%zu series, %zu hists, %zu SLO(s), %zu failed) to %s\n",
-                  ts_doc_.series.size(), ts_doc_.hists.size(), ts_doc_.slos.size(),
-                  failed, timeseries_path_.c_str());
+                  doc.series.size(), doc.hists.size(), doc.slos.size(), failed,
+                  files_.timeseries.c_str());
     }
-    if (!profile_path_.empty()) {
-      write_file(profile_path_, prof::render_profile_json(prof_doc_));
-      std::printf("[bench] wrote profile (%zu op(s)) to %s\n", prof_doc_.ops.size(),
-                  profile_path_.c_str());
+    if (!files_.profile.empty()) {
+      write_file(files_.profile, prof::render_profile_json(profile()));
+      std::printf("[bench] wrote profile (%zu op(s)) to %s\n", profile().ops.size(),
+                  files_.profile.c_str());
     }
   }
 
  private:
-  void record_run_impl(const std::string& label, Simulation& sim, CounterSet& counters,
-                       std::vector<std::pair<std::string, double>> values,
-                       const SlabStats* engines) {
-    if (!active()) {
-      return;
-    }
-    obs::SpanRecorder* recorder = nullptr;
-    if (const auto it = by_sim_.find(&sim); it != by_sim_.end()) {
-      recorder = it->second;
-    }
-    std::string alloc_json;
-    if (alloc_stats_) {
-      SlabStats from_platform;
-      if (engines == nullptr) {
-        // Recorded through the sim-level hooks: recover the platform (and
-        // its engines) from the observe() registration, if there was one.
-        if (VirtualPlatform* platform = platform_for(sim)) {
-          from_platform = platform->engine_alloc_stats();
-          engines = &from_platform;
-        }
-      }
-      alloc_json = obs::render_alloc_json(sim.event_queue_stats(), engines);
-    }
-    export_.add_run(label, sim, counters, recorder, std::move(values),
-                    std::move(alloc_json));
-    if (const auto ts_it = collector_by_sim_.find(&sim);
-        ts_it != collector_by_sim_.end()) {
-      // Namespace this run's metrics under its label and fold them into the
-      // document, leaving the collector empty for the sim's next run.
-      std::string merge_error;
-      if (!ts::merge_timeseries(
-              &ts_doc_, ts::prefix_timeseries(ts_it->second->drain(), label + "/"),
-              &merge_error)) {
-        std::fprintf(stderr, "[bench] timeseries merge failed: %s\n",
-                     merge_error.c_str());
-      }
-    }
-    if (!profile_path_.empty() && recorder != nullptr) {
-      // Fold only this run's increment of the recorder's raw-span stream (a
-      // sim recorded more than once must not double-count earlier runs).
-      FoldCursor& cursor = fold_cursor_[recorder];
-      prof::ProfDoc run_doc = prof::fold_profile(*recorder, cursor.spans);
-      run_doc.dropped_spans = recorder->dropped_spans() - cursor.dropped;
-      cursor.spans = recorder->spans().size();
-      cursor.dropped = recorder->dropped_spans();
-      std::string merge_error;
-      prof::merge_profile(&prof_doc_, prof::prefix_profile(run_doc, label + "/"),
-                          &merge_error);
-    }
-    if (!trace_path_.empty() && recorder != nullptr) {
-      // Written per run while the simulation is alive; the last run wins.
-      // The flight overlay marks injected faults / watchdog / OOM events.
-      write_file(trace_path_, export_chrome_trace(*recorder, sim, sim.flight()));
-    }
-    if (report_) {
-      std::printf("--- pvm-report: %s ---\n%s\n", label.c_str(),
-                  obs::render_obs_report(sim, recorder).c_str());
-    }
+  struct Files {
+    std::string json;
+    std::string trace;
+    std::string timeseries;
+    std::string profile;
+    std::vector<ts::SloSpec> slos;
+  };
+  struct Parsed {
+    bench::ObserverOptions options;
+    Files files;
+  };
+
+  BenchIo(Parsed parsed, std::string bench_name)
+      : bench::Observer(std::move(bench_name), std::move(parsed.options)),
+        files_(std::move(parsed.files)) {}
+
+  [[noreturn]] static void usage_error(const std::string& message) {
+    std::fprintf(stderr,
+                 "[bench] %s\n[bench] flags: --json <path> --trace <path> --report "
+                 "--faults <plan> --alloc-stats --timeseries <path> --ts-window <ns> "
+                 "--slo <spec> --flight-capacity <n> --profile <path>\n",
+                 message.c_str());
+    std::exit(2);
   }
 
-  static BenchIo*& instance_slot() {
-    static BenchIo* slot = nullptr;
-    return slot;
+  static std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE) {
+      usage_error("bad " + flag + " value '" + text + "': expected a non-negative integer");
+    }
+    return value;
+  }
+
+  // The one flag table: every flag the binaries take, parsed in one place.
+  static Parsed parse(int argc, char** argv, std::vector<char*>* unconsumed) {
+    Parsed parsed;
+    bench::ObserverOptions& options = parsed.options;
+    Files& files = parsed.files;
+    if (unconsumed != nullptr && argc > 0) {
+      unconsumed->push_back(argv[0]);
+    }
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (flag == "--report") {
+        options.report = true;
+        continue;
+      }
+      if (flag == "--alloc-stats") {
+        options.alloc_stats = true;
+        continue;
+      }
+      if (flag != "--json" && flag != "--trace" && flag != "--faults" &&
+          flag != "--timeseries" && flag != "--ts-window" && flag != "--slo" &&
+          flag != "--flight-capacity" && flag != "--profile") {
+        if (unconsumed == nullptr) {
+          usage_error("unknown argument '" + flag + "'");
+        }
+        unconsumed->push_back(argv[i]);
+        continue;
+      }
+      if (i + 1 >= argc) {
+        usage_error("missing value for " + flag);
+      }
+      const std::string value = argv[++i];
+      if (flag == "--json") {
+        files.json = value;
+      } else if (flag == "--trace") {
+        files.trace = value;
+      } else if (flag == "--timeseries") {
+        files.timeseries = value;
+      } else if (flag == "--profile") {
+        files.profile = value;
+      } else if (flag == "--ts-window") {
+        options.ts_window_ns = parse_count(flag, value);
+      } else if (flag == "--flight-capacity") {
+        options.flight_capacity = parse_count(flag, value);
+      } else if (flag == "--faults") {
+        try {
+          fault::FaultPlan::parse(value);
+        } catch (const std::exception& e) {
+          usage_error("bad --faults plan '" + value + "': " + e.what());
+        }
+        options.fault_plan = value;
+      } else {  // --slo
+        ts::SloSpec spec;
+        std::string error;
+        if (!ts::parse_slo_spec(value, &spec, &error)) {
+          usage_error("bad --slo spec '" + value + "': " + error);
+        }
+        files.slos.push_back(std::move(spec));
+      }
+    }
+    options.record = options.export_spans = !files.json.empty() || !files.trace.empty() ||
+                                             options.report || !files.timeseries.empty() ||
+                                             !files.profile.empty();
+    options.trace = !files.trace.empty();
+    options.timeseries = !files.timeseries.empty();
+    options.profile = !files.profile.empty();
+    return parsed;
   }
 
   static void write_file(const std::string& path, const std::string& content) {
@@ -374,52 +273,9 @@ class BenchIo {
     std::fclose(file);
   }
 
-  obs::BenchExport export_;
-  std::string json_path_;
-  std::string trace_path_;
-  std::string fault_plan_;
-  std::string timeseries_path_;
-  std::uint64_t ts_window_ns_ = 0;
-  std::uint64_t flight_capacity_ = 0;
-  std::vector<ts::SloSpec> slo_specs_;
-  ts::TsDoc ts_doc_;
-  std::string profile_path_;
-  prof::ProfDoc prof_doc_;
-  // Per-recorder fold position: raw spans and dropped count already folded.
-  struct FoldCursor {
-    std::size_t spans = 0;
-    std::uint64_t dropped = 0;
-  };
-  std::map<const obs::SpanRecorder*, FoldCursor> fold_cursor_;
-  bool report_ = false;
-  bool alloc_stats_ = false;
+  Files files_;
   bool finished_ = false;
-  std::vector<std::unique_ptr<obs::SpanRecorder>> recorders_;
-  std::map<const Simulation*, obs::SpanRecorder*> by_sim_;
-  std::map<const Simulation*, VirtualPlatform*> platform_by_sim_;
-  std::vector<std::unique_ptr<ts::Collector>> collectors_;
-  std::map<const Simulation*, ts::Collector*> collector_by_sim_;
-  std::vector<std::unique_ptr<fault::FaultInjector>> injectors_;
 };
-
-inline BenchIo& bench_io() { return BenchIo::instance(); }
-
-// Adapts the binary-wide BenchIo singleton to the run-as-library entry-point
-// hooks (bench/entries.h): observe every simulation/platform, record every
-// run into the shared export. Binaries pass this so the extracted
-// measurement bodies keep their historical --json/--trace/--report behavior.
-inline bench::EntryHooks bench_io_hooks() {
-  bench::EntryHooks hooks;
-  hooks.on_sim = [](Simulation& sim) { bench_io().observe(sim); };
-  hooks.on_platform = [](VirtualPlatform& platform) {
-    bench_io().observe(platform);
-  };
-  hooks.record = [](const std::string& label, Simulation& sim, CounterSet& counters,
-                    std::vector<std::pair<std::string, double>> values) {
-    bench_io().record_run(label, sim, counters, std::move(values));
-  };
-  return hooks;
-}
 
 }  // namespace pvm
 

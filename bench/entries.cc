@@ -1,50 +1,189 @@
 #include "bench/entries.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
+#include <cstdio>
 #include <stdexcept>
 
+#include "src/backends/ept_on_ept_memory_backend.h"
+#include "src/backends/kvm_spt_memory_backend.h"
 #include "src/backends/platform.h"
+#include "src/backends/pvm_memory_backend.h"
+#include "src/backends/spt_on_ept_memory_backend.h"
 #include "src/core/switcher.h"
-#include "src/fault/fault.h"
 #include "src/hv/host_hypervisor.h"
 #include "src/hv/migration.h"
-#include "src/obs/metrics_json.h"
-#include "src/obs/prof.h"
-#include "src/obs/span.h"
-#include "src/obs/ts.h"
-#include "src/workloads/lmbench.h"
+#include "src/metrics/histogram.h"
+#include "src/obs/chrome_trace.h"
+#include "src/obs/obs_report.h"
 #include "src/workloads/memstress.h"
 #include "src/workloads/runner.h"
 
 namespace pvm::bench {
 
-namespace {
+// ---- Observer ----
 
-constexpr int kSwitchIterations = 10000;
+Observer::Observer(std::string bench_name, ObserverOptions options)
+    : options_(std::move(options)), export_(std::move(bench_name)) {}
 
-inline double to_us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
+Observer::~Observer() = default;
 
-void call_on_sim(const EntryHooks& hooks, Simulation& sim) {
-  if (hooks.on_sim) {
-    hooks.on_sim(sim);
+Observer::Watch& Observer::watch(Simulation& sim) {
+  // A new simulation may reuse a destroyed one's address: start afresh.
+  Watch& entry = watched_[&sim] = Watch{};
+  if (options_.export_spans || options_.profile) {
+    recorders_.push_back(std::make_unique<obs::SpanRecorder>());
+    entry.recorder = recorders_.back().get();
+    entry.recorder->set_enabled(true);
+    sim.set_spans(entry.recorder);
+  }
+  if (options_.timeseries) {
+    if (options_.timeseries_per_run || collectors_.empty()) {
+      collectors_.push_back(std::make_unique<ts::Collector>());
+      if (options_.ts_window_ns != 0) {
+        collectors_.back()->set_window(options_.ts_window_ns);
+      }
+    }
+    if (options_.timeseries_per_run) {
+      entry.collector = collectors_.back().get();
+    }
+    sim.set_ts(collectors_.back().get());
+  }
+  return entry;
+}
+
+void Observer::attach(Simulation& sim) {
+  if (options_.record) {
+    watch(sim);
   }
 }
 
-void call_record(const EntryHooks& hooks, const std::string& label, Simulation& sim,
-                 CounterSet& counters,
-                 std::vector<std::pair<std::string, double>> values) {
-  if (hooks.record) {
-    hooks.record(label, sim, counters, std::move(values));
+void Observer::attach(VirtualPlatform& platform) {
+  // Ring capacity reshapes the always-on recorder, whether or not runs are
+  // recorded.
+  if (options_.flight_capacity != 0) {
+    platform.flight().set_capacity(options_.flight_capacity);
   }
+  arm_faults(platform);
+  if (options_.record) {
+    watch(platform.sim()).platform = &platform;
+  }
+}
+
+void Observer::arm_faults(VirtualPlatform& platform) {
+  if (options_.fault_plan.empty() || options_.fault_plan == "none") {
+    return;
+  }
+  injectors_.push_back(std::make_unique<fault::FaultInjector>());
+  injectors_.back()->arm(fault::FaultPlan::parse(options_.fault_plan));
+  platform.arm_faults(injectors_.back().get());
+}
+
+void Observer::record(const std::string& label, Simulation& sim, CounterSet& counters,
+                      Values values) {
+  if (!options_.record) {
+    return;
+  }
+  events_ += sim.events_processed();
+  const auto it = watched_.find(&sim);
+  Watch* entry = it == watched_.end() ? nullptr : &it->second;
+  obs::SpanRecorder* recorder = entry != nullptr ? entry->recorder : nullptr;
+  std::string alloc_json;
+  if (options_.alloc_stats) {
+    // Engine slabs are only reachable through the platform, if there is one.
+    SlabStats engines;
+    const bool on_platform = entry != nullptr && entry->platform != nullptr;
+    if (on_platform) {
+      engines = entry->platform->engine_alloc_stats();
+    }
+    alloc_json = obs::render_alloc_json(sim.event_queue_stats(), on_platform ? &engines : nullptr);
+  }
+  export_.add_run(label, sim, counters, options_.export_spans ? recorder : nullptr,
+                  std::move(values), std::move(alloc_json));
+  if (entry != nullptr && entry->collector != nullptr) {
+    // Fold this run's metrics into the document, leaving the collector empty
+    // for the simulation's next run.
+    std::string merge_error;
+    if (!ts::merge_timeseries(
+            &ts_doc_, ts::prefix_timeseries(entry->collector->drain(), label + "/"),
+            &merge_error)) {
+      std::fprintf(stderr, "[bench] timeseries merge failed: %s\n", merge_error.c_str());
+    }
+  }
+  if (options_.profile && recorder != nullptr) {
+    prof::ProfDoc run_doc = prof::fold_profile(*recorder, entry->folded_spans);
+    run_doc.dropped_spans = recorder->dropped_spans() - entry->folded_dropped;
+    entry->folded_spans = recorder->spans().size();
+    entry->folded_dropped = recorder->dropped_spans();
+    prof::merge_profile(&prof_doc_, prof::prefix_profile(run_doc, label + "/"), nullptr);
+  }
+  if (options_.trace && recorder != nullptr) {
+    // The flight overlay marks injected faults / watchdog / OOM events.
+    trace_json_ = export_chrome_trace(*recorder, sim, sim.flight());
+  }
+  if (options_.report) {
+    std::printf("--- pvm-report: %s ---\n%s\n", label.c_str(),
+                obs::render_obs_report(sim, recorder).c_str());
+  }
+}
+
+void Observer::record(const std::string& label, VirtualPlatform& platform, Values values) {
+  record(label, platform.sim(), platform.counters(), std::move(values));
+}
+
+ts::TsDoc& Observer::timeseries() {
+  if (!options_.timeseries_per_run && !collectors_.empty()) {
+    ts::merge_timeseries(&ts_doc_, collectors_.front()->drain(), nullptr);
+  }
+  return ts_doc_;
+}
+
+void Observer::record_values(const std::string& label, Values values) {
+  if (options_.record) {
+    export_.add_values(label, std::move(values));
+  }
+}
+
+// ---- Entries ----
+
+namespace {
+
+constexpr int kSwitchIterations = 10000;
+constexpr int kPrivOpIterations = 2000;
+
+// RunD-style sandbox startup deadline, scaled to this harness's boot times
+// (uncontended boots take ~0.5 ms of virtual time; the real RunD budget is
+// sub-second against ~100 ms real startups — the same ~20x headroom).
+constexpr SimTime kBootTimeout = 10 * kNsPerMs;
+
+inline double to_us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
+inline double to_seconds(SimTime ns) { return static_cast<double>(ns) / 1e9; }
+
+// Container "c0" on `platform`, booted with `pages` resident pages.
+SecureContainer& boot_container(VirtualPlatform& platform, int pages) {
+  SecureContainer& container = platform.create_container("c0");
+  platform.sim().spawn(container.boot(pages));
+  platform.sim().run();
+  return container;
+}
+
+ConcurrentResult run_memstress(VirtualPlatform& platform, SecureContainer& container,
+                               int processes, const MemStressParams& params) {
+  return run_processes_in_container(platform, container, processes,
+                                    [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
+                                      return memstress_process(container, vcpu, proc, params);
+                                    });
+}
+
+void attach_raw(Simulation& sim, const PlatformConfig& config, Observer& observer) {
+  sim.set_schedule_policy(config.schedule_policy, config.schedule_seed);
+  observer.attach(sim);
 }
 
 }  // namespace
 
-double switch_single_level_us(const EntryHooks& hooks) {
+double switch_single_level_us(const PlatformConfig& config, Observer& observer) {
   Simulation sim;
-  call_on_sim(hooks, sim);
+  attach_raw(sim, config, observer);
   CostModel costs;
   CounterSet counters;
   TraceLog trace;
@@ -60,13 +199,13 @@ double switch_single_level_us(const EntryHooks& hooks) {
   sim.run();
   // A round trip is two world switches (exit + entry).
   const double us = to_us(sim.now() - start) / (2.0 * kSwitchIterations);
-  call_record(hooks, "single_level", sim, counters, {{"us_per_switch", us}});
+  observer.record("single_level", sim, counters, {{"us_per_switch", us}});
   return us;
 }
 
-double switch_pvm_us(const EntryHooks& hooks) {
+double switch_pvm_us(const PlatformConfig& config, Observer& observer) {
   Simulation sim;
-  call_on_sim(hooks, sim);
+  attach_raw(sim, config, observer);
   CostModel costs;
   CounterSet counters;
   TraceLog trace;
@@ -83,13 +222,13 @@ double switch_pvm_us(const EntryHooks& hooks) {
   }(switcher));
   sim.run();
   const double us = to_us(sim.now() - start) / (2.0 * kSwitchIterations);
-  call_record(hooks, "pvm_switcher", sim, counters, {{"us_per_switch", us}});
+  observer.record("pvm_switcher", sim, counters, {{"us_per_switch", us}});
   return us;
 }
 
-double switch_nested_us(const EntryHooks& hooks) {
+double switch_nested_us(const PlatformConfig& config, Observer& observer) {
   Simulation sim;
-  call_on_sim(hooks, sim);
+  attach_raw(sim, config, observer);
   CostModel costs;
   CounterSet counters;
   TraceLog trace;
@@ -107,61 +246,251 @@ double switch_nested_us(const EntryHooks& hooks) {
   }(l0, l1));
   sim.run();
   const double us = to_us(sim.now() - start) / (2.0 * kSwitchIterations);
-  call_record(hooks, "nested_l2_l1", sim, counters, {{"us_per_switch", us}});
+  observer.record("nested_l2_l1", sim, counters, {{"us_per_switch", us}});
   return us;
+}
+
+double priv_op_roundtrip_us(const std::string& label, const PlatformConfig& config, PrivOp op,
+                            Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  SecureContainer& c = boot_container(platform, 8);
+
+  const SimTime start = platform.sim().now();
+  platform.sim().spawn([](SecureContainer& cc, PrivOp o) -> Task<void> {
+    for (int i = 0; i < kPrivOpIterations; ++i) {
+      if (o == PrivOp::kException) {
+        co_await cc.cpu().exception_roundtrip(cc.vcpu(0));
+      } else {
+        co_await cc.cpu().privileged_op(cc.vcpu(0), o);
+      }
+    }
+  }(c, op));
+  platform.sim().run();
+  const double us = to_us(platform.sim().now() - start) / kPrivOpIterations;
+  observer.record(label, platform, {{"roundtrip_us", us}});
+  return us;
+}
+
+std::uint64_t lmbench_latency_ns(const std::string& label, const PlatformConfig& config,
+                                 LmbenchOp op, int iterations, int boot_pages,
+                                 const std::string& value_key, Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  SecureContainer& c = boot_container(platform, boot_pages);
+  std::uint64_t latency = 0;
+  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters,
+                          std::uint64_t* out) -> Task<void> {
+    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{});
+  }(c, op, iterations, &latency));
+  platform.sim().run();
+  observer.record(label, platform, {{value_key, to_us(latency)}});
+  return latency;
 }
 
 double syscall_getpid_us(const std::string& label, const PlatformConfig& config,
-                         const EntryHooks& hooks) {
-  VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(8));
-  platform.sim().run();
+                         Observer& observer) {
+  return to_us(lmbench_latency_ns(label, config, LmbenchOp::kGetPid, 4000, /*boot_pages=*/8,
+                                  "getpid_us", observer));
+}
 
-  std::uint64_t latency = 0;
-  platform.sim().spawn([](SecureContainer& cc, std::uint64_t* out) -> Task<void> {
-    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), LmbenchOp::kGetPid, 4000,
-                                LmbenchParams{});
-  }(c, &latency));
-  platform.sim().run();
-  const double us = to_us(latency);
-  call_record(hooks, label, platform.sim(), platform.counters(), {{"getpid_us", us}});
+double lmbench_concurrent_us(const std::string& label, const PlatformConfig& config,
+                             LmbenchOp op, int processes, int iterations, Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  SecureContainer& container = boot_container(platform, 16);
+
+  std::vector<std::uint64_t> latencies(processes, 0);
+  run_processes_in_container(
+      platform, container, processes,
+      [&](int index, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
+        return [](SecureContainer& c, Vcpu& v, GuestProcess& p, LmbenchOp o, int iters,
+                  std::uint64_t* out) -> Task<void> {
+          LmbenchParams params;
+          *out = co_await lmbench_run(c, v, p, o, iters, params);
+        }(container, vcpu, proc, op, iterations, &latencies[index]);
+      },
+      /*resident_pages=*/256);
+  double sum = 0;
+  for (const std::uint64_t latency : latencies) {
+    sum += static_cast<double>(latency);
+  }
+  const double us = sum / static_cast<double>(processes) / 1e3;
+  observer.record(label, platform, {{"latency_us", us}});
   return us;
 }
 
-double pagefault_mean_seconds(const std::string& label, const PlatformConfig& config,
-                              int processes, std::uint64_t bytes_per_proc,
-                              const EntryHooks& hooks) {
+LmbenchTail lmbench_tail_us(const std::string& label, const PlatformConfig& config,
+                            LmbenchOp op, int iterations, Observer& observer) {
   VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
+  observer.attach(platform);
+  SecureContainer& c = boot_container(platform, 64);
+  std::uint64_t latency = 0;
+  LatencyHistogram histogram;
+  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters, std::uint64_t* out,
+                          LatencyHistogram* hist) -> Task<void> {
+    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{},
+                                hist);
+  }(c, op, iterations, &latency, &histogram));
   platform.sim().run();
+  const LmbenchTail result{to_us(latency), to_us(histogram.quantile(0.99))};
+  observer.record(label, platform, {{"mean_us", result.mean_us}, {"p99_us", result.p99_us}});
+  return result;
+}
 
+double memstress_mean_seconds(const std::string& label, const PlatformConfig& config,
+                              int processes, std::uint64_t bytes_per_proc, bool release_chunks,
+                              Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  SecureContainer& container = boot_container(platform, 16);
   MemStressParams params;
   params.total_bytes = bytes_per_proc;
-  params.release_chunks = true;
-  const ConcurrentResult result = run_processes_in_container(
-      platform, container, processes,
-      [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return memstress_process(container, vcpu, proc, params);
-      });
-  call_record(hooks, label, platform.sim(), platform.counters(),
-              {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
+  params.release_chunks = release_chunks;
+  const double seconds = run_memstress(platform, container, processes, params).mean_seconds();
+  observer.record(label, platform, {{"mean_seconds", seconds}});
+  return seconds;
+}
+
+DerivedStats protocol_costs(const std::string& label, const PlatformConfig& config,
+                            std::uint64_t bytes_per_proc, Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  SecureContainer& container = boot_container(platform, 16);
+  const CounterSet before = platform.counters();
+  MemStressParams params;
+  params.total_bytes = bytes_per_proc;
+  run_memstress(platform, container, /*processes=*/4, params);
+  const DerivedStats stats = derive_stats(platform.counters().delta_since(before));
+  observer.record(label, platform,
+                  {{"switches_per_fault", stats.switches_per_fault},
+                   {"l0_exits_per_fault", stats.l0_exits_per_fault},
+                   {"tlb_hit_rate", stats.tlb_hit_rate}});
+  return stats;
+}
+
+PageTableFootprint page_table_footprint(const std::string& label, const PlatformConfig& config,
+                                        int processes, std::uint64_t bytes_per_proc,
+                                        Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  SecureContainer& container = boot_container(platform, 16);
+  MemStressParams params;
+  params.total_bytes = bytes_per_proc;
+  params.release_chunks = false;
+  run_memstress(platform, container, processes, params);
+
+  PageTableFootprint footprint;
+  for (const auto& proc : container.kernel().processes()) {
+    footprint.guest_tables += proc->gpt().node_count();
+  }
+  if (auto* backend = dynamic_cast<PvmMemoryBackend*>(&container.mem())) {
+    footprint.shadow_tables = backend->engine().shadow_table_frames();
+  } else if (auto* spt = dynamic_cast<KvmSptMemoryBackend*>(&container.mem())) {
+    footprint.shadow_tables = spt->engine().shadow_table_frames();
+  } else if (auto* soe = dynamic_cast<SptOnEptMemoryBackend*>(&container.mem())) {
+    footprint.shadow_tables = soe->engine().shadow_table_frames();
+  } else if (auto* eoe = dynamic_cast<EptOnEptMemoryBackend*>(&container.mem())) {
+    // EPT-on-EPT's hypervisor-side tables: EPT12 at L1 and the compressed
+    // EPT02 at L0.
+    footprint.shadow_tables = eoe->ept12().node_count() + eoe->ept02().node_count();
+  }
+  observer.record(label, platform,
+                  {{"guest_tables", static_cast<double>(footprint.guest_tables)},
+                   {"shadow_tables", static_cast<double>(footprint.shadow_tables)}});
+  return footprint;
+}
+
+namespace {
+
+Task<void> run_app(const AppRun& run, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc,
+                   double* score) {
+  switch (run.app) {
+    case App::kKbuild:
+      co_await app_kbuild(c, vcpu, proc, run.params);
+      break;
+    case App::kBlogbench:
+      *score = co_await app_blogbench(c, vcpu, proc, run.params);
+      break;
+    case App::kSpecjbb:
+      *score = co_await app_specjbb(c, vcpu, proc, run.params);
+      break;
+    case App::kFluidanimate:
+      co_await app_fluidanimate(c, run.params, run.threads, run.frames);
+      break;
+    case App::kCloudSuite:
+      co_await app_cloudsuite(c, vcpu, proc, run.cloudsuite, run.params);
+      break;
+  }
+}
+
+}  // namespace
+
+double app_mean(const std::string& label, const PlatformConfig& config, const AppRun& run,
+                Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  std::vector<double> scores(run.containers, 0);
+  const ContainersResult result = run_containers(
+      platform, run.containers,
+      [&](int index, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
+        return run_app(run, c, vcpu, proc, &scores[index]);
+      },
+      run.init_pages, run.timer_hz);
+  double value = result.mean_seconds();
+  if (run.value_key != "mean_seconds") {
+    double sum = 0;
+    for (const double score : scores) {
+      sum += score;
+    }
+    value = sum / run.containers;
+  }
+  observer.record(label, platform, {{run.value_key, value}});
+  return value;
+}
+
+HighLoadResult high_load(const std::string& label, const PlatformConfig& config,
+                         int containers, double app_size, Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  AppParams params;
+  params.size = app_size;
+  const ContainersResult result = run_containers(
+      platform, containers,
+      [&](int, SecureContainer& c, Vcpu&, GuestProcess&) -> Task<void> {
+        return app_fluidanimate(c, params, /*threads=*/2, /*frames=*/8);
+      },
+      /*init_pages=*/48);
+
+  HighLoadResult out;
+  out.mean_seconds = result.mean_seconds();
+  out.failed_boots = result.boots_failed;
+  out.crashed = result.boots_failed > 0;  // init never came up: the sandbox is dead
+  for (const SimTime boot : result.boot_latencies) {
+    out.worst_boot_seconds = std::max(out.worst_boot_seconds, to_seconds(boot));
+    if (boot > kBootTimeout) {
+      out.crashed = true;  // the runtime would have given up on the sandbox
+    }
+  }
+  std::vector<SimTime> times = result.task_times;
+  std::sort(times.begin(), times.end());
+  if (!times.empty()) {
+    const std::size_t idx = (times.size() * 99) / 100;
+    out.p99_seconds = to_seconds(times[std::min(idx, times.size() - 1)]);
+  }
+  observer.record(label, platform,
+                  {{"mean_seconds", out.mean_seconds},
+                   {"p99_seconds", out.p99_seconds},
+                   {"worst_boot_seconds", out.worst_boot_seconds},
+                   {"failed_boots", static_cast<double>(out.failed_boots)},
+                   {"crashed", out.crashed ? 1.0 : 0.0}});
+  return out;
 }
 
 BootStormStats boot_storm(const std::string& label, const PlatformConfig& config,
-                          int containers, const EntryHooks& hooks) {
+                          int containers, Observer& observer) {
   VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
+  observer.attach(platform);
   std::vector<SecureContainer*> all;
   for (int i = 0; i < containers; ++i) {
     all.push_back(&platform.create_container("c" + std::to_string(i)));
@@ -182,21 +511,17 @@ BootStormStats boot_storm(const std::string& label, const PlatformConfig& config
            1e6;
   };
   const BootStormStats stats{at(0.50), at(0.99), at(1.0)};
-  call_record(hooks, label, platform.sim(), platform.counters(),
-              {{"p50_ms", stats.p50_ms}, {"p99_ms", stats.p99_ms},
-               {"worst_ms", stats.worst_ms}});
+  observer.record(label, platform,
+                  {{"p50_ms", stats.p50_ms}, {"p99_ms", stats.p99_ms},
+                   {"worst_ms", stats.worst_ms}});
   return stats;
 }
 
 MigrationBenchStats migration_stats(const std::string& label, const PlatformConfig& config,
-                                    DirtyProtocol protocol, const EntryHooks& hooks) {
+                                    DirtyProtocol protocol, Observer& observer) {
   VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(16));
-  platform.sim().run();
+  observer.attach(platform);
+  SecureContainer& c = boot_container(platform, 16);
 
   // The migratable unit: the shared L1 instance in nested modes, the
   // container's own L0 VM in bare-metal modes. pvm (BM) runs under the PVM
@@ -234,20 +559,22 @@ MigrationBenchStats migration_stats(const std::string& label, const PlatformConf
   stats.remote_faults = static_cast<double>(result.remote_faults);
   stats.downtime_us = static_cast<double>(result.downtime) / 1e3;
   stats.total_ms = static_cast<double>(result.total_time) / 1e6;
-  call_record(hooks, label, platform.sim(), platform.counters(),
-              {{"succeeded", stats.succeeded ? 1.0 : 0.0},
-               {"fell_back_postcopy", stats.fell_back_postcopy ? 1.0 : 0.0},
-               {"rounds", stats.rounds},
-               {"pages_copied", stats.pages_copied},
-               {"pages_dirtied", stats.pages_dirtied},
-               {"wp_faults", stats.wp_faults},
-               {"pml_appends", stats.pml_appends},
-               {"pml_flushes", stats.pml_flushes},
-               {"remote_faults", stats.remote_faults},
-               {"downtime_us", stats.downtime_us},
-               {"total_ms", stats.total_ms}});
+  observer.record(label, platform,
+                  {{"succeeded", stats.succeeded ? 1.0 : 0.0},
+                   {"fell_back_postcopy", stats.fell_back_postcopy ? 1.0 : 0.0},
+                   {"rounds", stats.rounds},
+                   {"pages_copied", stats.pages_copied},
+                   {"pages_dirtied", stats.pages_dirtied},
+                   {"wp_faults", stats.wp_faults},
+                   {"pml_appends", stats.pml_appends},
+                   {"pml_flushes", stats.pml_flushes},
+                   {"remote_faults", stats.remote_faults},
+                   {"downtime_us", stats.downtime_us},
+                   {"total_ms", stats.total_ms}});
   return stats;
 }
+
+// ---- Matrix cells ----
 
 const std::vector<std::string>& matrix_workloads() {
   static const std::vector<std::string> kWorkloads = {"switch", "syscall", "pagefault",
@@ -255,110 +582,65 @@ const std::vector<std::string>& matrix_workloads() {
   return kWorkloads;
 }
 
-CellOutcome run_workload_cell(const std::string& workload, const CellConfig& cell) {
-  CellOutcome outcome;
-
-  // Everything a cell touches is local to this call: its own export, its own
-  // injector, its own platform. The injector is declared before the hooks so
-  // it outlives any platform armed through them.
-  obs::BenchExport cell_export("pvm-matrix/" + workload);
-  fault::FaultInjector injector;
-  ts::Collector collector;
-  if (cell.timeseries && cell.ts_window_ns != 0) {
-    collector.set_window(cell.ts_window_ns);
-  }
-  const bool want_faults = !cell.fault_plan.empty() && cell.fault_plan != "none";
-
-  // Per-sim span recorders for --profile, all cell-local. The recorders must
-  // outlive the workload body (sims fold at record time, while alive).
-  prof::ProfDoc cell_profile;
-  std::vector<std::unique_ptr<obs::SpanRecorder>> recorders;
-  std::map<const Simulation*, obs::SpanRecorder*> recorder_by_sim;
-  const auto attach_profile = [&](Simulation& sim) {
-    if (!cell.profile) {
-      return;
-    }
-    recorders.push_back(std::make_unique<obs::SpanRecorder>());
-    recorders.back()->set_enabled(true);
-    sim.set_spans(recorders.back().get());
-    recorder_by_sim[&sim] = recorders.back().get();
-  };
-
-  EntryHooks hooks;
-  hooks.record = [&](const std::string& label, Simulation& sim, CounterSet& counters,
-                     std::vector<std::pair<std::string, double>> values) {
-    // Every current workload records each simulation exactly once, so the
-    // sum over record calls is the cell's total event count.
-    outcome.events += sim.events_processed();
-    cell_export.add_run(label, sim, counters, /*recorder=*/nullptr, std::move(values));
-    if (const auto it = recorder_by_sim.find(&sim); it != recorder_by_sim.end()) {
-      prof::merge_profile(&cell_profile,
-                          prof::prefix_profile(prof::fold_profile(*it->second), label + "/"),
-                          nullptr);
-    }
-  };
-  hooks.on_sim = [&](Simulation& sim) {
-    sim.set_schedule_policy(cell.policy, cell.schedule_seed);
-    if (cell.timeseries) {
-      sim.set_ts(&collector);
-    }
-    attach_profile(sim);
-  };
-  hooks.on_platform = [&](VirtualPlatform& platform) {
-    if (cell.timeseries) {
-      platform.sim().set_ts(&collector);
-    }
-    attach_profile(platform.sim());
-    if (want_faults) {
-      injector.arm(fault::FaultPlan::parse(cell.fault_plan));
-      platform.arm_faults(&injector);
-    }
-  };
+sweep::CellResult run_workload_cell(const sweep::MatrixCell& cell, const CellDocs& docs) {
+  ObserverOptions options;
+  options.record = true;
+  options.timeseries = docs.timeseries;
+  options.timeseries_per_run = false;
+  options.ts_window_ns = docs.ts_window_ns;
+  options.profile = docs.profile;
+  options.fault_plan = cell.fault_plan;
+  Observer observer("pvm-matrix/" + cell.workload, std::move(options));
 
   PlatformConfig config;
   config.mode = cell.mode;
   config.schedule_policy = cell.policy;
-  config.schedule_seed = cell.schedule_seed;
+  config.schedule_seed = cell.seed;
 
+  sweep::CellResult result;
   try {
-    if (workload == "switch") {
-      switch_single_level_us(hooks);
-      switch_pvm_us(hooks);
-      switch_nested_us(hooks);
-    } else if (workload == "syscall") {
-      syscall_getpid_us("getpid", config, hooks);
-    } else if (workload == "pagefault") {
+    if (cell.workload == "switch") {
+      switch_single_level_us(config, observer);
+      switch_pvm_us(config, observer);
+      switch_nested_us(config, observer);
+    } else if (cell.workload == "syscall") {
+      syscall_getpid_us("getpid", config, observer);
+    } else if (cell.workload == "pagefault") {
       // Small fixed size: a matrix cell is a smoke-scale sample of the
       // fig10 workload, not a reproduction of its 32 MiB sweep.
-      pagefault_mean_seconds("pagefault", config, /*processes=*/2,
-                             /*bytes_per_proc=*/4ull << 20, hooks);
-    } else if (workload == "boot") {
-      boot_storm("bootstorm", config, /*containers=*/8, hooks);
-    } else if (workload == "migration") {
+      memstress_mean_seconds("pagefault", config, /*processes=*/2,
+                             /*bytes_per_proc=*/4ull << 20, /*release_chunks=*/true, observer);
+    } else if (cell.workload == "boot") {
+      boot_storm("bootstorm", config, /*containers=*/8, observer);
+    } else if (cell.workload == "migration") {
       // Both dirty-tracking protocols, so one matrix document carries the
       // WP-vs-PML cost comparison per mode (and benchdiff can gate on it).
-      migration_stats("migration_wp", config, DirtyProtocol::kWriteProtect, hooks);
-      migration_stats("migration_pml", config, DirtyProtocol::kPml, hooks);
+      migration_stats("migration_wp", config, DirtyProtocol::kWriteProtect, observer);
+      migration_stats("migration_pml", config, DirtyProtocol::kPml, observer);
     } else {
-      outcome.error = "unknown workload '" + workload + "'";
-      return outcome;
+      result.ok = false;
+      result.error = "unknown workload '" + cell.workload + "'";
+      return result;
     }
   } catch (const std::exception& e) {
-    outcome.error = e.what();
-    return outcome;
+    result.ok = false;
+    result.error = e.what();
+    result.events = observer.events();
+    return result;
   }
-  outcome.ok = true;
-  outcome.bench_json = cell_export.to_json();
-  if (cell.timeseries) {
-    outcome.ts_json = ts::render_timeseries_json(ts::prefix_timeseries(
-        collector.drain(),
-        std::string(deploy_mode_token(cell.mode)) + "/" + workload + "/"));
+  result.events = observer.events();
+  result.bench_json = observer.bench().to_json();
+  const std::string coordinate =
+      std::string(deploy_mode_token(cell.mode)) + "/" + cell.workload + "/";
+  if (docs.timeseries) {
+    result.ts_json =
+        ts::render_timeseries_json(ts::prefix_timeseries(observer.timeseries(), coordinate));
   }
-  if (cell.profile) {
-    outcome.profile_json = prof::render_profile_json(prof::prefix_profile(
-        cell_profile, std::string(deploy_mode_token(cell.mode)) + "/" + workload + "/"));
+  if (docs.profile) {
+    result.profile_json =
+        prof::render_profile_json(prof::prefix_profile(observer.profile(), coordinate));
   }
-  return outcome;
+  return result;
 }
 
 }  // namespace pvm::bench

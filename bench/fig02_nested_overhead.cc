@@ -6,67 +6,6 @@
 // ~5x, SPECjbb up to two orders of magnitude).
 
 #include "bench/bench_common.h"
-#include "src/workloads/apps.h"
-#include "src/workloads/lmbench.h"
-
-namespace pvm {
-namespace {
-
-std::uint64_t lmbench_latency(const std::string& label, DeployMode mode, LmbenchOp op,
-                              int iterations) {
-  PlatformConfig config;
-  config.mode = mode;
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(256));
-  platform.sim().run();
-  std::uint64_t latency = 0;
-  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters,
-                          std::uint64_t* out) -> Task<void> {
-    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{});
-  }(c, op, iterations, &latency));
-  platform.sim().run();
-  bench_io().record_run(label, platform, {{"latency_us", to_us(latency)}});
-  return latency;
-}
-
-double kbuild_mean_seconds(const std::string& label, DeployMode mode, int containers) {
-  PlatformConfig config;
-  config.mode = mode;
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  AppParams params;
-  params.size = 0.5 * bench_scale();
-  const ContainersResult result = run_containers(
-      platform, containers,
-      [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return app_kbuild(c, vcpu, proc, params);
-      });
-  bench_io().record_run(label, platform, {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-double specjbb_mean_seconds(const std::string& label, DeployMode mode, int containers) {
-  PlatformConfig config;
-  config.mode = mode;
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  AppParams params;
-  params.size = 0.5 * bench_scale();
-  const ContainersResult result = run_containers(
-      platform, containers,
-      [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return [](SecureContainer& cc, Vcpu& v, GuestProcess& p, AppParams ap) -> Task<void> {
-          (void)co_await app_specjbb(cc, v, p, ap);
-        }(c, vcpu, proc, params);
-      });
-  bench_io().record_run(label, platform, {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -87,30 +26,34 @@ int main(int argc, char** argv) {
       {"sh", LmbenchOp::kShProc, 10},
   };
 
+  PlatformConfig bm_config;
+  bm_config.mode = DeployMode::kKvmEptBm;
+  PlatformConfig nst_config;
+  nst_config.mode = DeployMode::kKvmEptNst;
+
   TextTable table({"benchmark", "kvm (BM)", "kvm (NST)", "normalized"});
   for (const auto& op : kOps) {
-    const std::uint64_t bm =
-        lmbench_latency(std::string(op.name) + "/bm", DeployMode::kKvmEptBm, op.op,
-                        op.iterations);
-    const std::uint64_t nst =
-        lmbench_latency(std::string(op.name) + "/nst", DeployMode::kKvmEptNst, op.op,
-                        op.iterations);
+    const auto latency_ns = [&](const char* suffix, const PlatformConfig& config) {
+      return bench::lmbench_latency_ns(std::string(op.name) + suffix, config, op.op,
+                                       op.iterations, /*boot_pages=*/256, "latency_us", io);
+    };
+    const std::uint64_t bm = latency_ns("/bm", bm_config);
+    const std::uint64_t nst = latency_ns("/nst", nst_config);
     table.add_row({op.name, TextTable::cell(to_us(bm)) + " us",
                    TextTable::cell(to_us(nst)) + " us",
                    TextTable::cell(static_cast<double>(nst) / static_cast<double>(bm))});
   }
 
-  {
-    const double bm = kbuild_mean_seconds("kbuild/bm", DeployMode::kKvmEptBm, 16);
-    const double nst = kbuild_mean_seconds("kbuild/nst", DeployMode::kKvmEptNst, 16);
-    table.add_row({"kbuild (16c)", TextTable::cell(bm) + " s", TextTable::cell(nst) + " s",
-                   TextTable::cell(nst / bm)});
-  }
-  {
-    const double bm = specjbb_mean_seconds("specjbb/bm", DeployMode::kKvmEptBm, 16);
-    const double nst = specjbb_mean_seconds("specjbb/nst", DeployMode::kKvmEptNst, 16);
-    table.add_row({"specjbb (16c)", TextTable::cell(bm) + " s", TextTable::cell(nst) + " s",
-                   TextTable::cell(nst / bm)});
+  bench::AppRun run;
+  run.params.size = 0.5 * bench_scale();
+  run.containers = 16;
+  for (const auto& [name, app] : {std::pair{"kbuild", bench::App::kKbuild},
+                                  std::pair{"specjbb", bench::App::kSpecjbb}}) {
+    run.app = app;
+    const double bm = bench::app_mean(std::string(name) + "/bm", bm_config, run, io);
+    const double nst = bench::app_mean(std::string(name) + "/nst", nst_config, run, io);
+    table.add_row({std::string(name) + " (16c)", TextTable::cell(bm) + " s",
+                   TextTable::cell(nst) + " s", TextTable::cell(nst / bm)});
   }
 
   std::printf("%s\n", table.render().c_str());

@@ -7,36 +7,6 @@
 // per-configuration ratios are the reproduction target.
 
 #include "bench/bench_common.h"
-#include "src/workloads/memstress.h"
-
-namespace pvm {
-namespace {
-
-double run_config(const char* name, DeployMode mode, int processes,
-                  std::uint64_t bytes_per_proc) {
-  PlatformConfig config;
-  config.mode = mode;
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
-  platform.sim().run();
-
-  MemStressParams params;
-  params.total_bytes = bytes_per_proc;
-  params.release_chunks = false;  // Fig. 4 variant: allocate and keep
-  const ConcurrentResult result = run_processes_in_container(
-      platform, container, processes,
-      [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return memstress_process(container, vcpu, proc, params);
-      });
-  bench_io().record_run(std::string(name) + "/" + std::to_string(processes) + "p", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -60,7 +30,14 @@ int main(int argc, char** argv) {
   for (int processes : {1, 4, 16}) {
     std::vector<std::string> row{std::to_string(processes)};
     for (const auto& config : kConfigs) {
-      row.push_back(TextTable::cell(run_config(config.name, config.mode, processes, bytes), 3));
+      PlatformConfig platform;
+      platform.mode = config.mode;
+      const std::string label =
+          std::string(config.name) + "/" + std::to_string(processes) + "p";
+      // Fig. 4 variant: allocate and keep.
+      const double seconds = bench::memstress_mean_seconds(label, platform, processes, bytes,
+                                                           /*release_chunks=*/false, io);
+      row.push_back(TextTable::cell(seconds, 3));
     }
     table.add_row(std::move(row));
   }

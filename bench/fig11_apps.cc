@@ -7,100 +7,20 @@
 // fluidanimate thanks to hypercall HLT.
 
 #include "bench/bench_common.h"
-#include "src/workloads/apps.h"
 
 namespace pvm {
 namespace {
 
-AppParams scaled_params(VirtualPlatform& platform) {
-  (void)platform;
-  AppParams params;
-  params.size = 0.5 * bench_scale();
-  return params;
-}
-
-constexpr int kTimerHz = 1000;  // per-container scheduler tick
-
-double kbuild_seconds(const PlatformConfig& config, int containers) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  const ContainersResult result = run_containers(
-      platform, containers,
-      [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return app_kbuild(c, vcpu, proc, scaled_params(platform));
-      },
-      /*init_pages=*/96, kTimerHz);
-  bench_io().record_run("kbuild/" + std::to_string(containers) + "c", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-double blogbench_score(const PlatformConfig& config, int containers) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  std::vector<double> scores(containers, 0);
-  run_containers(platform, containers,
-                 [&](int index, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-                   return [](SecureContainer& cc, Vcpu& v, GuestProcess& p, AppParams params,
-                             double* out) -> Task<void> {
-                     *out = co_await app_blogbench(cc, v, p, params);
-                   }(c, vcpu, proc, scaled_params(platform), &scores[index]);
-                 },
-                 /*init_pages=*/96, kTimerHz);
-  double sum = 0;
-  for (const double s : scores) {
-    sum += s;
-  }
-  bench_io().record_run("blogbench/" + std::to_string(containers) + "c", platform,
-                        {{"score", sum / containers}});
-  return sum / containers;
-}
-
-double specjbb_kbops(const PlatformConfig& config, int containers) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  std::vector<double> throughput(containers, 0);
-  run_containers(platform, containers,
-                 [&](int index, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-                   return [](SecureContainer& cc, Vcpu& v, GuestProcess& p, AppParams params,
-                             double* out) -> Task<void> {
-                     *out = co_await app_specjbb(cc, v, p, params);
-                   }(c, vcpu, proc, scaled_params(platform), &throughput[index]);
-                 },
-                 /*init_pages=*/96, kTimerHz);
-  double sum = 0;
-  for (const double t : throughput) {
-    sum += t;
-  }
-  bench_io().record_run("specjbb/" + std::to_string(containers) + "c", platform,
-                        {{"kbops", sum / containers}});
-  return sum / containers;
-}
-
-double fluidanimate_seconds(const PlatformConfig& config, int containers) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  const ContainersResult result = run_containers(
-      platform, containers,
-      [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        (void)vcpu;
-        (void)proc;
-        return app_fluidanimate(c, scaled_params(platform), /*threads=*/4, /*frames=*/16);
-      },
-      /*init_pages=*/32, kTimerHz);
-  bench_io().record_run("fluidanimate/" + std::to_string(containers) + "c", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-template <typename Fn>
-void print_panel(const char* title, const char* unit, Fn&& metric) {
+void print_panel(const char* title, const char* unit, const char* app, bench::AppRun run,
+                 BenchIo& io) {
   std::printf("--- %s (%s) ---\n", title, unit);
   TextTable table({"config", "1", "4", "16"});
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (int containers : {1, 4, 16}) {
-      row.push_back(TextTable::cell(metric(scenario.config, containers), 3));
+      run.containers = containers;
+      const std::string label = std::string(app) + "/" + std::to_string(containers) + "c";
+      row.push_back(TextTable::cell(bench::app_mean(label, scenario.config, run, io), 3));
     }
     table.add_row(std::move(row));
   }
@@ -117,10 +37,22 @@ int main(int argc, char** argv) {
                "PVM paper, Fig. 11 (a)-(d)",
                "Workload sizes scaled down; cross-config ratios are the target");
 
-  print_panel("(a) Kbuild, avg exec time, lower is better", "s", kbuild_seconds);
-  print_panel("(b) Blogbench, avg score, higher is better", "ops/s", blogbench_score);
-  print_panel("(c) SPECjbb2005, avg throughput, higher is better", "kbops", specjbb_kbops);
-  print_panel("(d) fluidanimate, avg exec time, lower is better", "s", fluidanimate_seconds);
+  bench::AppRun run;
+  run.params.size = 0.5 * bench_scale();
+  run.timer_hz = 1000;  // per-container scheduler tick
+  run.app = bench::App::kKbuild;
+  print_panel("(a) Kbuild, avg exec time, lower is better", "s", "kbuild", run, io);
+  run.app = bench::App::kBlogbench;
+  run.value_key = "score";
+  print_panel("(b) Blogbench, avg score, higher is better", "ops/s", "blogbench", run, io);
+  run.app = bench::App::kSpecjbb;
+  run.value_key = "kbops";
+  print_panel("(c) SPECjbb2005, avg throughput, higher is better", "kbops", "specjbb", run, io);
+  run.app = bench::App::kFluidanimate;
+  run.value_key = "mean_seconds";
+  run.init_pages = 32;
+  run.frames = 16;
+  print_panel("(d) fluidanimate, avg exec time, lower is better", "s", "fluidanimate", run, io);
 
   std::printf("Paper shape: kvm-ept (NST) collapses at 16 containers in every panel;\n");
   std::printf("pvm (NST) stays near bare-metal; pvm beats kvm-ept (BM) on\n");

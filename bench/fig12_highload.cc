@@ -15,70 +15,6 @@
 #include <algorithm>
 
 #include "bench/bench_common.h"
-#include "src/workloads/apps.h"
-
-namespace pvm {
-namespace {
-
-// RunD-style sandbox startup deadline, scaled to this harness's boot times
-// (uncontended boots take ~0.5 ms of virtual time; the real RunD budget is
-// sub-second against ~100 ms real startups — the same ~20x headroom).
-constexpr SimTime kBootTimeout = 10 * kNsPerMs;
-
-struct HighLoadResult {
-  double mean_seconds = 0;
-  double p99_seconds = 0;
-  bool crashed = false;
-  int failed_boots = 0;
-  double worst_boot_seconds = 0;
-};
-
-HighLoadResult run_config(const std::string& label, const PlatformConfig& config,
-                          int containers) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  bench_io().arm_faults(platform);
-  AppParams params;
-  params.size = 0.25 * bench_scale();
-
-  HighLoadResult out;
-  const ContainersResult result = run_containers(
-      platform, containers,
-      [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        (void)vcpu;
-        (void)proc;
-        return app_fluidanimate(c, params, /*threads=*/2, /*frames=*/8);
-      },
-      /*init_pages=*/48);
-
-  out.mean_seconds = result.mean_seconds();
-  out.failed_boots = result.boots_failed;
-  if (result.boots_failed > 0) {
-    out.crashed = true;  // init never came up: the sandbox is dead
-  }
-  for (const SimTime boot : result.boot_latencies) {
-    out.worst_boot_seconds = std::max(out.worst_boot_seconds, to_seconds(boot));
-    if (boot > kBootTimeout) {
-      out.crashed = true;  // the runtime would have given up on the sandbox
-    }
-  }
-  std::vector<SimTime> times = result.task_times;
-  std::sort(times.begin(), times.end());
-  if (!times.empty()) {
-    const std::size_t idx = (times.size() * 99) / 100;
-    out.p99_seconds = to_seconds(times[std::min(idx, times.size() - 1)]);
-  }
-  bench_io().record_run(label, platform,
-                        {{"mean_seconds", out.mean_seconds},
-                         {"p99_seconds", out.p99_seconds},
-                         {"worst_boot_seconds", out.worst_boot_seconds},
-                         {"failed_boots", static_cast<double>(out.failed_boots)},
-                         {"crashed", out.crashed ? 1.0 : 0.0}});
-  return out;
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -97,9 +33,9 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{scenario.label};
     double worst_boot = 0;
     for (int containers : {50, 100, 150}) {
-      const HighLoadResult result = run_config(
-          scenario.label + "/" + std::to_string(containers) + "c", scenario.config,
-          containers);
+      const bench::HighLoadResult result =
+          bench::high_load(scenario.label + "/" + std::to_string(containers) + "c",
+                           scenario.config, containers, 0.25 * bench_scale(), io);
       row.push_back(result.crashed
                         ? (result.failed_boots > 0
                                ? "CRASH(" + std::to_string(result.failed_boots) + " oom)"

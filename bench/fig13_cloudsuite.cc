@@ -5,29 +5,6 @@
 // kvm-ept (NST) visibly below 1.0, worst for the memory-heavy workloads.
 
 #include "bench/bench_common.h"
-#include "src/workloads/apps.h"
-
-namespace pvm {
-namespace {
-
-double run_seconds(const std::string& label, const PlatformConfig& config,
-                   CloudSuiteKind kind, int containers) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  AppParams params;
-  params.size = 0.5 * bench_scale();
-  const ContainersResult result = run_containers(
-      platform, containers,
-      [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return app_cloudsuite(c, vcpu, proc, kind, params);
-      },
-      /*init_pages=*/64);
-  bench_io().record_run(label, platform, {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -44,7 +21,11 @@ int main(int argc, char** argv) {
       {"graph analytics", CloudSuiteKind::kGraphAnalytics},
       {"in-memory analytics", CloudSuiteKind::kInMemoryAnalytics},
   };
-  constexpr int kContainers = 4;  // "relatively low concurrency level"
+  bench::AppRun run;
+  run.app = bench::App::kCloudSuite;
+  run.params.size = 0.5 * bench_scale();
+  run.containers = 4;  // "relatively low concurrency level"
+  run.init_pages = 64;
 
   TextTable table(
       {"config", "data analytics", "graph analytics", "in-memory analytics"});
@@ -52,14 +33,15 @@ int main(int argc, char** argv) {
   for (const auto& kind : kKinds) {
     PlatformConfig config;
     config.mode = DeployMode::kKvmEptBm;
-    baseline.push_back(
-        run_seconds(std::string("baseline/") + kind.name, config, kind.kind, kContainers));
+    run.cloudsuite = kind.kind;
+    baseline.push_back(bench::app_mean(std::string("baseline/") + kind.name, config, run, io));
   }
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (std::size_t i = 0; i < std::size(kKinds); ++i) {
-      const double seconds = run_seconds(scenario.label + "/" + kKinds[i].name,
-                                         scenario.config, kKinds[i].kind, kContainers);
+      run.cloudsuite = kKinds[i].kind;
+      const double seconds =
+          bench::app_mean(scenario.label + "/" + kKinds[i].name, scenario.config, run, io);
       row.push_back(TextTable::cell(baseline[i] / seconds, 3));
     }
     table.add_row(std::move(row));

@@ -25,6 +25,10 @@
 namespace pvm {
 namespace {
 
+// The binary's observer. google-benchmark calls the benchmarks without
+// arguments, so they reach it through this pointer, set once in main().
+BenchIo* observer = nullptr;
+
 void BM_PageTableMap(benchmark::State& state) {
   PageTable table("bench", nullptr);
   std::uint64_t va = 0;
@@ -200,8 +204,7 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
     PlatformConfig config;
     config.mode = DeployMode::kPvmNst;
     VirtualPlatform platform(config);
-    bench_io().arm_faults(platform);
-    bench_io().observe(platform);
+    observer->attach(platform);
     SecureContainer& c = platform.create_container("c0");
     platform.sim().spawn(c.boot(8));
     platform.sim().run();
@@ -217,7 +220,7 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
     }(c, proc));
     platform.sim().run();
 
-    if (!captured && bench_io().active()) {
+    if (!captured && observer->options().record) {
       // One platform-backed capture per benchmark (outside the timed
       // region), so --report and the export's counter/contention sections
       // work here like in the table/figure binaries.
@@ -225,8 +228,7 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
       // Distinct label from the timing row google-benchmark reports: two
       // runs sharing one label would make label-keyed diffs (benchdiff)
       // ambiguous about which run carries which metrics.
-      bench_io().record_run("BM_FullFaultProtocolPvmNst_platform", platform,
-                            {{"pages_touched", 512.0}});
+      observer->record("BM_FullFaultProtocolPvmNst_platform", platform, {{"pages_touched", 512.0}});
       captured = true;
       state.ResumeTiming();
     }
@@ -245,7 +247,7 @@ void BM_FullFaultProtocolPvmNstObserved(benchmark::State& state) {
     PlatformConfig config;
     config.mode = DeployMode::kPvmNst;
     VirtualPlatform platform(config);
-    bench_io().arm_faults(platform);
+    observer->arm_faults(platform);
     obs::SpanRecorder recorder;
     recorder.set_enabled(true);
     platform.sim().set_spans(&recorder);
@@ -342,7 +344,7 @@ class ExportingReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         values.emplace_back(name, counter.value);
       }
-      bench_io().record_values(run.benchmark_name(), std::move(values));
+      observer->record_values(run.benchmark_name(), std::move(values));
     }
   }
 };
@@ -350,24 +352,12 @@ class ExportingReporter : public benchmark::ConsoleReporter {
 }  // namespace
 }  // namespace pvm
 
-// Custom main instead of BENCHMARK_MAIN(): the repo-wide BenchIo flags
-// (--json / --trace / --report / --faults) are parsed and stripped before
-// google-benchmark sees the command line, so simcore_micro takes the same
-// flags as every other bench binary.
+// Custom main instead of BENCHMARK_MAIN(): BenchIo consumes the flags every
+// bench binary takes and hands the rest to google-benchmark.
 int main(int argc, char** argv) {
-  pvm::BenchIo io(argc, argv, "simcore_micro");
   std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" || arg == "--trace" || arg == "--faults") {
-      ++i;  // skip the flag's value too
-      continue;
-    }
-    if (arg == "--report" || arg == "--alloc-stats") {
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
+  pvm::BenchIo io(argc, argv, "simcore_micro", &args);
+  pvm::observer = &io;
   int adjusted_argc = static_cast<int>(args.size());
   benchmark::Initialize(&adjusted_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(adjusted_argc, args.data())) {

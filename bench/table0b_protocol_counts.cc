@@ -4,36 +4,6 @@
 // rather than on a single controlled fault.
 
 #include "bench/bench_common.h"
-#include "src/metrics/report.h"
-#include "src/workloads/memstress.h"
-
-namespace pvm {
-namespace {
-
-DerivedStats run_config(const char* name, const PlatformConfig& config) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
-  platform.sim().run();
-  const CounterSet before = platform.counters();
-
-  MemStressParams params;
-  params.total_bytes = static_cast<std::uint64_t>(bench_scale() * (16.0 * 1024 * 1024));
-  run_processes_in_container(platform, container, 4,
-                             [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-                               return memstress_process(container, vcpu, proc, params);
-                             });
-  const DerivedStats stats = derive_stats(platform.counters().delta_since(before));
-  bench_io().record_run(name, platform,
-                        {{"switches_per_fault", stats.switches_per_fault},
-                         {"l0_exits_per_fault", stats.l0_exits_per_fault},
-                         {"tlb_hit_rate", stats.tlb_hit_rate}});
-  return stats;
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -66,8 +36,9 @@ int main(int argc, char** argv) {
 
   TextTable table({"config", "switches/fault", "L0 exits/fault", "TLB hit rate",
                    "prefault coverage", "paper formula (n=1)"});
+  const auto bytes = static_cast<std::uint64_t>(bench_scale() * (16.0 * 1024 * 1024));
   for (const Row& row : rows) {
-    const DerivedStats stats = run_config(row.name, row.config);
+    const DerivedStats stats = bench::protocol_costs(row.name, row.config, bytes, io);
     table.add_row({row.name, TextTable::cell(stats.switches_per_fault),
                    TextTable::cell(stats.l0_exits_per_fault, 3),
                    TextTable::cell(stats.tlb_hit_rate, 3),

@@ -11,40 +11,6 @@
 
 #include "bench/bench_common.h"
 
-namespace pvm {
-namespace {
-
-constexpr int kIterations = 2000;
-
-double measure_op_us(const std::string& label, DeployMode mode, bool kpti, PrivOp op) {
-  PlatformConfig config;
-  config.mode = mode;
-  config.kpti = kpti;
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(8));
-  platform.sim().run();
-
-  const SimTime start = platform.sim().now();
-  platform.sim().spawn([](SecureContainer& cc, PrivOp o) -> Task<void> {
-    for (int i = 0; i < kIterations; ++i) {
-      if (o == PrivOp::kException) {
-        co_await cc.cpu().exception_roundtrip(cc.vcpu(0));
-      } else {
-        co_await cc.cpu().privileged_op(cc.vcpu(0), o);
-      }
-    }
-  }(c, op));
-  platform.sim().run();
-  const double us = to_us(platform.sim().now() - start) / kIterations;
-  bench_io().record_run(label + (kpti ? "/kpti" : "/nokpti"), platform, {{"roundtrip_us", us}});
-  return us;
-}
-
-}  // namespace
-}  // namespace pvm
-
 int main(int argc, char** argv) {
   using namespace pvm;
   BenchIo io(argc, argv, "table1_exit_latency");
@@ -75,8 +41,12 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{op.name};
     for (const auto& config : kConfigs) {
       const std::string label = std::string(config.name) + "/" + op.name;
-      const double on = measure_op_us(label, config.mode, true, op.op);
-      const double off = measure_op_us(label, config.mode, false, op.op);
+      PlatformConfig platform;
+      platform.mode = config.mode;
+      platform.kpti = true;
+      const double on = bench::priv_op_roundtrip_us(label + "/kpti", platform, op.op, io);
+      platform.kpti = false;
+      const double off = bench::priv_op_roundtrip_us(label + "/nokpti", platform, op.op, io);
       row.push_back(TextTable::cell(on) + "/" + TextTable::cell(off));
     }
     table.add_row(std::move(row));

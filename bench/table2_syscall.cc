@@ -9,21 +9,17 @@
 //   kvm (NST)             0.23/0.06
 //   pvm (NST) none        1.93/1.93
 //   pvm (NST) direct      0.3/0.3
-//
-// The measurement body (bench::syscall_getpid_us) lives in bench/entries.h
-// so pvm-matrix can run it as a library call.
 
 #include "bench/bench_common.h"
 
 namespace pvm {
 namespace {
 
-std::string cell_on_off(const std::string& name, PlatformConfig config) {
-  const bench::EntryHooks hooks = bench_io_hooks();
+std::string cell_on_off(const std::string& name, PlatformConfig config, BenchIo& io) {
   config.kpti = true;
-  const double on = bench::syscall_getpid_us(name + "/kpti", config, hooks);
+  const double on = bench::syscall_getpid_us(name + "/kpti", config, io);
   config.kpti = false;
-  const double off = bench::syscall_getpid_us(name + "/nokpti", config, hooks);
+  const double off = bench::syscall_getpid_us(name + "/nokpti", config, io);
   return TextTable::cell(on) + "/" + TextTable::cell(off);
 }
 
@@ -41,24 +37,24 @@ int main(int argc, char** argv) {
 
   PlatformConfig config;
   config.mode = DeployMode::kKvmEptBm;
-  table.add_row({"kvm-ept (BM)", "", cell_on_off("kvm-ept (BM)", config)});
+  table.add_row({"kvm-ept (BM)", "", cell_on_off("kvm-ept (BM)", config, io)});
   config.mode = DeployMode::kKvmSptBm;
-  table.add_row({"kvm-spt (BM)", "", cell_on_off("kvm-spt (BM)", config)});
+  table.add_row({"kvm-spt (BM)", "", cell_on_off("kvm-spt (BM)", config, io)});
 
   config.mode = DeployMode::kPvmBm;
   config.direct_switch = false;
-  table.add_row({"pvm (BM)", "none", cell_on_off("pvm (BM)/none", config)});
+  table.add_row({"pvm (BM)", "none", cell_on_off("pvm (BM)/none", config, io)});
   config.direct_switch = true;
-  table.add_row({"pvm (BM)", "direct-switch", cell_on_off("pvm (BM)/direct", config)});
+  table.add_row({"pvm (BM)", "direct-switch", cell_on_off("pvm (BM)/direct", config, io)});
 
   config.mode = DeployMode::kKvmEptNst;
-  table.add_row({"kvm (NST)", "", cell_on_off("kvm (NST)", config)});
+  table.add_row({"kvm (NST)", "", cell_on_off("kvm (NST)", config, io)});
 
   config.mode = DeployMode::kPvmNst;
   config.direct_switch = false;
-  table.add_row({"pvm (NST)", "none", cell_on_off("pvm (NST)/none", config)});
+  table.add_row({"pvm (NST)", "none", cell_on_off("pvm (NST)/none", config, io)});
   config.direct_switch = true;
-  table.add_row({"pvm (NST)", "direct-switch", cell_on_off("pvm (NST)/direct", config)});
+  table.add_row({"pvm (NST)", "direct-switch", cell_on_off("pvm (NST)/direct", config, io)});
 
   std::printf("%s\n", table.render().c_str());
   std::printf("Shape checks: kvm-spt is the slowest (trapped KPTI CR3 swaps);\n");

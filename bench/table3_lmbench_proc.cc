@@ -6,44 +6,6 @@
 // beats kvm-ept (NST) everywhere except the fork family.
 
 #include "bench/bench_common.h"
-#include "src/workloads/lmbench.h"
-#include "src/workloads/runner.h"
-
-namespace pvm {
-namespace {
-
-// Mean per-op latency with `processes` concurrent benchmark processes.
-double latency_us(const std::string& label, const PlatformConfig& config, LmbenchOp op,
-                  int processes, int iterations) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
-  platform.sim().run();
-
-  std::vector<std::uint64_t> latencies(processes, 0);
-  const ConcurrentResult result = run_processes_in_container(
-      platform, container, processes,
-      [&](int index, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return [](SecureContainer& c, Vcpu& v, GuestProcess& p, LmbenchOp o, int iters,
-                  std::uint64_t* out) -> Task<void> {
-          LmbenchParams params;
-          *out = co_await lmbench_run(c, v, p, o, iters, params);
-        }(container, vcpu, proc, op, iterations, &latencies[index]);
-      },
-      /*resident_pages=*/256);
-  (void)result;
-  double sum = 0;
-  for (const std::uint64_t latency : latencies) {
-    sum += static_cast<double>(latency);
-  }
-  const double us = sum / static_cast<double>(processes) / 1e3;
-  bench_io().record_run(label, platform, {{"latency_us", us}});
-  return us;
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -82,8 +44,8 @@ int main(int argc, char** argv) {
         const int iters = processes == 1 ? op.iters1 : op.iters32;
         const std::string label = scenario.label + "/" + op.name + "/" +
                                   std::to_string(processes) + "p";
-        row.push_back(
-            TextTable::cell(latency_us(label, scenario.config, op.op, processes, iters)));
+        row.push_back(TextTable::cell(bench::lmbench_concurrent_us(label, scenario.config, op.op,
+                                                                   processes, iters, io)));
       }
       table.add_row(std::move(row));
     }

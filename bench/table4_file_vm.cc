@@ -5,31 +5,6 @@
 // schemes pay, with kvm-ept an order of magnitude faster on raw faults.
 
 #include "bench/bench_common.h"
-#include "src/workloads/lmbench.h"
-
-namespace pvm {
-namespace {
-
-double latency_us(const std::string& label, const PlatformConfig& config, LmbenchOp op,
-                  int iterations) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(64));
-  platform.sim().run();
-  std::uint64_t latency = 0;
-  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters,
-                          std::uint64_t* out) -> Task<void> {
-    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{});
-  }(c, op, iterations, &latency));
-  platform.sim().run();
-  const double us = to_us(latency);
-  bench_io().record_run(label, platform, {{"latency_us", us}});
-  return us;
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -59,8 +34,10 @@ int main(int argc, char** argv) {
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (const auto& op : kOps) {
-      row.push_back(TextTable::cell(
-          latency_us(scenario.label + "/" + op.name, scenario.config, op.op, op.iterations)));
+      const std::uint64_t latency =
+          bench::lmbench_latency_ns(scenario.label + "/" + op.name, scenario.config, op.op,
+                                    op.iterations, /*boot_pages=*/64, "latency_us", io);
+      row.push_back(TextTable::cell(to_us(latency)));
     }
     table.add_row(std::move(row));
   }

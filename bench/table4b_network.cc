@@ -5,39 +5,6 @@
 // penalty coming from the doorbell/interrupt path rather than paging.
 
 #include "bench/bench_common.h"
-#include "src/workloads/lmbench.h"
-
-namespace pvm {
-namespace {
-
-struct OpLatency {
-  double mean_us;
-  double p99_us;
-};
-
-OpLatency latency_us(const std::string& label, const PlatformConfig& config, LmbenchOp op,
-                     int iterations) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(64));
-  platform.sim().run();
-  std::uint64_t latency = 0;
-  LatencyHistogram histogram;
-  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters, std::uint64_t* out,
-                          LatencyHistogram* hist) -> Task<void> {
-    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{},
-                                hist);
-  }(c, op, iterations, &latency, &histogram));
-  platform.sim().run();
-  const OpLatency result{to_us(latency), to_us(histogram.quantile(0.99))};
-  bench_io().record_run(label, platform,
-                        {{"mean_us", result.mean_us}, {"p99_us", result.p99_us}});
-  return result;
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -64,8 +31,8 @@ int main(int argc, char** argv) {
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (const auto& op : kOps) {
-      const OpLatency latency = latency_us(scenario.label + "/" + op.name, scenario.config,
-                                           op.op, op.iterations);
+      const bench::LmbenchTail latency = bench::lmbench_tail_us(
+          scenario.label + "/" + op.name, scenario.config, op.op, op.iterations, io);
       row.push_back(TextTable::cell(latency.mean_us) + " (p99<" +
                     TextTable::cell(latency.p99_us, 0) + ")");
     }

@@ -5,57 +5,6 @@
 // in table pages after an identical workload.
 
 #include "bench/bench_common.h"
-#include "src/backends/ept_on_ept_memory_backend.h"
-#include "src/backends/kvm_spt_memory_backend.h"
-#include "src/backends/pvm_memory_backend.h"
-#include "src/backends/spt_on_ept_memory_backend.h"
-#include "src/workloads/memstress.h"
-
-namespace pvm {
-namespace {
-
-struct Footprint {
-  std::uint64_t guest_tables = 0;   // GPT pages (the guest pays these anyway)
-  std::uint64_t shadow_tables = 0;  // SPT/gpa_map pages (hypervisor overhead)
-};
-
-Footprint run_config(const std::string& label, const PlatformConfig& config, int processes) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
-  platform.sim().run();
-  MemStressParams params;
-  params.total_bytes = static_cast<std::uint64_t>(bench_scale() * (16.0 * 1024 * 1024));
-  params.release_chunks = false;
-  run_processes_in_container(platform, container, processes,
-                             [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-                               return memstress_process(container, vcpu, proc, params);
-                             });
-
-  Footprint footprint;
-  for (const auto& proc : container.kernel().processes()) {
-    footprint.guest_tables += proc->gpt().node_count();
-  }
-  if (auto* backend = dynamic_cast<PvmMemoryBackend*>(&container.mem())) {
-    footprint.shadow_tables = backend->engine().shadow_table_frames();
-  } else if (auto* spt = dynamic_cast<KvmSptMemoryBackend*>(&container.mem())) {
-    footprint.shadow_tables = spt->engine().shadow_table_frames();
-  } else if (auto* soe = dynamic_cast<SptOnEptMemoryBackend*>(&container.mem())) {
-    footprint.shadow_tables = soe->engine().shadow_table_frames();
-  } else if (auto* eoe = dynamic_cast<EptOnEptMemoryBackend*>(&container.mem())) {
-    // EPT-on-EPT's hypervisor-side tables: EPT12 at L1 and the compressed
-    // EPT02 at L0.
-    footprint.shadow_tables = eoe->ept12().node_count() + eoe->ept02().node_count();
-  }
-  bench_io().record_run(label, platform,
-                        {{"guest_tables", static_cast<double>(footprint.guest_tables)},
-                         {"shadow_tables", static_cast<double>(footprint.shadow_tables)}});
-  return footprint;
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -65,9 +14,11 @@ int main(int argc, char** argv) {
                "After 8 processes x 16 MiB resident each");
 
   TextTable table({"config", "guest tables", "shadow tables", "overhead vs EPT"});
+  const auto bytes = static_cast<std::uint64_t>(bench_scale() * (16.0 * 1024 * 1024));
   std::uint64_t ept_total = 0;
   for (const Scenario& scenario : five_scenarios()) {
-    const Footprint footprint = run_config(scenario.label, scenario.config, 8);
+    const bench::PageTableFootprint footprint =
+        bench::page_table_footprint(scenario.label, scenario.config, 8, bytes, io);
     const std::uint64_t total = footprint.guest_tables + footprint.shadow_tables;
     if (scenario.config.mode == DeployMode::kKvmEptBm) {
       ept_total = total;

@@ -340,27 +340,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto run_cell = [want_ts, ts_window_ns,
-                         want_profile](const pvm::sweep::MatrixCell& cell) {
-    pvm::bench::CellConfig config;
-    config.mode = cell.mode;
-    config.policy = cell.policy;
-    config.schedule_seed = cell.seed;
-    config.fault_plan = cell.fault_plan;
-    config.timeseries = want_ts;
-    config.ts_window_ns = ts_window_ns;
-    config.profile = want_profile;
-    const pvm::bench::CellOutcome outcome =
-        pvm::bench::run_workload_cell(cell.workload, config);
-    pvm::sweep::CellResult result;
-    result.ok = outcome.ok;
-    result.error = outcome.error;
-    result.bench_json = outcome.bench_json;
-    result.ts_json = outcome.ts_json;
-    result.profile_json = outcome.profile_json;
-    result.events = outcome.events;
-    return result;
-  };
+  const pvm::bench::CellDocs cell_docs{want_ts, ts_window_ns, want_profile};
 
   std::atomic<std::uint64_t> fresh_cells{0};
   std::atomic<bool> stopped{false};
@@ -376,7 +356,7 @@ int main(int argc, char** argv) {
       skipped.error = "not run: --checkpoint-stop-after";
       return skipped;
     }
-    pvm::sweep::CellResult result = run_cell(cell);
+    pvm::sweep::CellResult result = pvm::bench::run_workload_cell(cell, cell_docs);
     if (use_checkpoint) {
       const std::scoped_lock lock(checkpoint_mutex);
       checkpoint_log.append(pvm::wal::RecordType::kCellResult,
