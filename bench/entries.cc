@@ -401,52 +401,43 @@ PageTableFootprint page_table_footprint(const std::string& label, const Platform
   return footprint;
 }
 
-namespace {
-
-Task<void> run_app(const AppRun& run, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc,
-                   double* score) {
-  switch (run.app) {
-    case App::kKbuild:
-      co_await app_kbuild(c, vcpu, proc, run.params);
-      break;
-    case App::kBlogbench:
-      *score = co_await app_blogbench(c, vcpu, proc, run.params);
-      break;
-    case App::kSpecjbb:
-      *score = co_await app_specjbb(c, vcpu, proc, run.params);
-      break;
-    case App::kFluidanimate:
-      co_await app_fluidanimate(c, run.params, run.threads, run.frames);
-      break;
-    case App::kCloudSuite:
-      co_await app_cloudsuite(c, vcpu, proc, run.cloudsuite, run.params);
-      break;
-  }
+double app_mean_seconds(const std::string& label, const PlatformConfig& config,
+                        const AppRun& run, const AppBody& body, Observer& observer) {
+  VirtualPlatform platform(config);
+  observer.attach(platform);
+  const double seconds =
+      run_containers(
+          platform, run.containers,
+          [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) {
+            return body(c, vcpu, proc);
+          },
+          run.init_pages, run.timer_hz)
+          .mean_seconds();
+  observer.record(label, platform, {{"mean_seconds", seconds}});
+  return seconds;
 }
 
-}  // namespace
-
-double app_mean(const std::string& label, const PlatformConfig& config, const AppRun& run,
-                Observer& observer) {
+double app_mean_score(const std::string& label, const PlatformConfig& config, const AppRun& run,
+                      const ScoredAppBody& body, const std::string& score_key,
+                      Observer& observer) {
   VirtualPlatform platform(config);
   observer.attach(platform);
   std::vector<double> scores(run.containers, 0);
-  const ContainersResult result = run_containers(
+  run_containers(
       platform, run.containers,
       [&](int index, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return run_app(run, c, vcpu, proc, &scores[index]);
+        return [](const ScoredAppBody& b, SecureContainer& cc, Vcpu& v, GuestProcess& p,
+                  double* out) -> Task<void> { *out = co_await b(cc, v, p); }(
+                   body, c, vcpu, proc, &scores[index]);
       },
       run.init_pages, run.timer_hz);
-  double value = result.mean_seconds();
-  if (run.value_key != "mean_seconds") {
-    double sum = 0;
-    for (const double score : scores) {
-      sum += score;
-    }
-    value = sum / run.containers;
+  double sum = 0;
+  for (const double score : scores) {
+    sum += score;
   }
-  observer.record(label, platform, {{run.value_key, value}});
-  return value;
+  const double score = sum / run.containers;
+  observer.record(label, platform, {{score_key, score}});
+  return score;
 }
 
 HighLoadResult high_load(const std::string& label, const PlatformConfig& config,

@@ -13,6 +13,7 @@
 #define PVM_BENCH_ENTRIES_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -181,22 +182,22 @@ PageTableFootprint page_table_footprint(const std::string& label, const Platform
                                         Observer& observer);
 
 // ---- Applications, one process per container (Figs. 2, 11 and 13) ----
-enum class App { kKbuild, kBlogbench, kSpecjbb, kFluidanimate, kCloudSuite };
+// The app run in each container, on its vCPU 0 and init process. A scored
+// app returns its own score (Blogbench ops/s, SPECjbb kbops).
+using AppBody = std::function<Task<void>(SecureContainer&, Vcpu&, GuestProcess&)>;
+using ScoredAppBody = std::function<Task<double>(SecureContainer&, Vcpu&, GuestProcess&)>;
 struct AppRun {
-  App app = App::kKbuild;
-  CloudSuiteKind cloudsuite = CloudSuiteKind::kDataAnalytics;  // App::kCloudSuite
-  int threads = 4;   // App::kFluidanimate
-  int frames = 24;   // App::kFluidanimate
-  AppParams params;
   int containers = 1;
   int init_pages = 96;
   int timer_hz = 0;  // per-container scheduler tick, 0: none
-  // Recorded and returned: "mean_seconds" is the mean task time; any other
-  // key is the mean of the app's own score (Blogbench ops/s, SPECjbb kbops).
-  std::string value_key = "mean_seconds";
 };
-double app_mean(const std::string& label, const PlatformConfig& config, const AppRun& run,
-                Observer& observer);
+// Mean task time in seconds, recorded as "mean_seconds".
+double app_mean_seconds(const std::string& label, const PlatformConfig& config,
+                        const AppRun& run, const AppBody& body, Observer& observer);
+// Mean of the containers' scores, recorded under `score_key`.
+double app_mean_score(const std::string& label, const PlatformConfig& config, const AppRun& run,
+                      const ScoredAppBody& body, const std::string& score_key,
+                      Observer& observer);
 
 // ---- Fig. 12: fluidanimate at container density ----
 // A container whose init was OOM-killed, or whose boot overran the RunD-style

@@ -16,6 +16,8 @@
 #                     protocols ran, kvm-ept (NST) OOM-killed guests while
 #                     pvm (NST) booted every container; and run b's export is
 #                     byte-identical to run a's (deterministic injection)
+#   faults_any_binary table4b_network --faults latency --json: the plan is
+#                     armed on a binary other than fig12 (injection fired)
 #   cli_unknown_flag, cli_missing_value, cli_bad_ts_window,
 #   cli_bad_flight_capacity, cli_bad_faults
 #                     a malformed command line exits 2 with a message
@@ -91,6 +93,10 @@ elseif(CASE STREQUAL "fault_check")
     message(FATAL_ERROR "fig12 bootstorm replay is not byte-identical")
   endif()
   message(STATUS "byte-identical: fig12 bootstorm replay")
+
+elseif(CASE STREQUAL "faults_any_binary")
+  run_bench(0 out --faults latency --json table4b_network.json)
+  check_export(table4b_network.json schema runs counter-sum:fault_injected)
 
 elseif(CASE STREQUAL "cli_unknown_flag")
   expect_rejected("unknown argument '--jsn'" --jsn x.json)

@@ -17,9 +17,11 @@
 #   pvmtop    pvm-top over the checked-in pvm.timeseries.v1 fixture, vs
 #             pvm_top_fixture.txt (dashboard rendering is part of the
 #             deterministic surface)
-#   table0    table0_switch_cost --json, vs table0_switch_cost.json
+#   table0    table0_switch_cost --json, vs table0_switch_cost.json; its
+#             stdout vs the table0_switch_cost/ digests
 #   fig10     PVM_BENCH_SCALE=0.01 fig10_pagefault_scaling --json, vs the
-#             tarball's fig10_pagefault_scaling_scale001.json
+#             tarball's fig10_pagefault_scaling_scale001.json; its stdout vs
+#             the fig10_pagefault_scaling/ digests
 #   simcheck  3-seed corrupting sweep (exit 1 expected) from a controlled
 #             cwd with a relative --postmortem-dir, at --jobs ${JOBS}:
 #             stdout vs simcheck_sweep.txt, postmortem json+txt vs tarball
@@ -29,9 +31,10 @@
 #             the SHA-256 of each output file against the `<name>/<file>`
 #             lines of bench_digests.sha256 (outputs too large to check in:
 #             0.03-52 MB each). NAME is a figure/table binary (stdout +
-#             --json at PVM_BENCH_SCALE=0.01), fig10_observers (fig10 with
-#             every observer flag) or matrix_timeseries (pvm-matrix
-#             --timeseries at --jobs ${JOBS}).
+#             --json at PVM_BENCH_SCALE=0.01; table0 and fig10 are checked
+#             by their own cases above), fig10_observers (fig10 with every
+#             observer flag) or matrix_timeseries (pvm-matrix --timeseries
+#             at --jobs ${JOBS}).
 #
 # Regenerating goldens (after an intentional output change):
 #   build/bench/table0_switch_cost --json tests/golden/table0_switch_cost.json
@@ -60,6 +63,38 @@ function(compare_or_die actual expected what)
     message(FATAL_ERROR "golden mismatch (${what}): ${actual} differs from ${expected}")
   endif()
   message(STATUS "byte-identical: ${what}")
+endfunction()
+
+# Runs BIN with ARGN from WORK_DIR, stdout into WORK_DIR/stdout.txt. Output
+# paths stay relative: the bench binaries echo them to stdout.
+function(run_in_work_dir)
+  execute_process(COMMAND "${BIN}" ${ARGN}
+                  WORKING_DIRECTORY "${WORK_DIR}"
+                  OUTPUT_FILE "${WORK_DIR}/stdout.txt"
+                  RESULT_VARIABLE rc ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${BIN} ${ARGN}: exit ${rc}")
+  endif()
+endfunction()
+
+# Checks each `<name>/<file>` line of bench_digests.sha256 against the
+# SHA-256 of WORK_DIR/<file>.
+function(check_digests name)
+  file(STRINGS "${GOLDEN_DIR}/bench_digests.sha256" entries REGEX "^[0-9a-f]+  ${name}/")
+  if(NOT entries)
+    message(FATAL_ERROR "bench_digests.sha256 has no ${name}/ entries")
+  endif()
+  foreach(entry IN LISTS entries)
+    string(REGEX REPLACE "^([0-9a-f]+)  ${name}/(.*)$" "\\1;\\2" parts "${entry}")
+    list(GET parts 0 expected)
+    list(GET parts 1 output)
+    file(SHA256 "${WORK_DIR}/${output}" actual)
+    if(NOT actual STREQUAL expected)
+      message(FATAL_ERROR "digest mismatch (${name}/${output}): got\n"
+                          "${actual}  ${name}/${output}")
+    endif()
+    message(STATUS "digest matches: ${name}/${output}")
+  endforeach()
 endfunction()
 
 # The tarball holds the artifacts too bulky to keep loose (fig10 export,
@@ -92,25 +127,19 @@ if(CASE STREQUAL "pvmtop")
                  "pvm-top dashboard rendering")
 
 elseif(CASE STREQUAL "table0")
-  execute_process(COMMAND "${BIN}" --json "${WORK_DIR}/table0.json"
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "table0_switch_cost failed (exit ${rc})")
-  endif()
-  compare_or_die("${WORK_DIR}/table0.json" "${GOLDEN_DIR}/table0_switch_cost.json"
+  run_in_work_dir(--json out.json)
+  compare_or_die("${WORK_DIR}/out.json" "${GOLDEN_DIR}/table0_switch_cost.json"
                  "table0 pvm.bench.v1 export")
+  check_digests(table0_switch_cost)
 
 elseif(CASE STREQUAL "fig10")
   extract_tarball()
   set(ENV{PVM_BENCH_SCALE} "0.01")
-  execute_process(COMMAND "${BIN}" --json "${WORK_DIR}/fig10.json"
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "fig10_pagefault_scaling failed (exit ${rc})")
-  endif()
-  compare_or_die("${WORK_DIR}/fig10.json"
+  run_in_work_dir(--json out.json)
+  compare_or_die("${WORK_DIR}/out.json"
                  "${WORK_DIR}/expected/fig10_pagefault_scaling_scale001.json"
                  "fig10 scale=0.01 pvm.bench.v1 export")
+  check_digests(fig10_pagefault_scaling)
 
 elseif(CASE STREQUAL "simcheck")
   if(NOT DEFINED JOBS)
@@ -185,7 +214,6 @@ elseif(CASE STREQUAL "digest")
   if(NOT DEFINED NAME)
     message(FATAL_ERROR "digest case needs -DNAME")
   endif()
-  # Relative output paths: the bench binaries echo them to stdout.
   if(NAME STREQUAL "fig10_observers")
     set(ENV{PVM_BENCH_SCALE} "0.01")
     set(args --json out.json --trace trace.json --timeseries ts.json --ts-window 500000
@@ -202,28 +230,8 @@ elseif(CASE STREQUAL "digest")
     set(ENV{PVM_BENCH_SCALE} "0.01")
     set(args --json out.json)
   endif()
-  execute_process(COMMAND "${BIN}" ${args}
-                  WORKING_DIRECTORY "${WORK_DIR}"
-                  OUTPUT_FILE "${WORK_DIR}/stdout.txt"
-                  RESULT_VARIABLE rc ERROR_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${NAME}: ${BIN} failed (exit ${rc})")
-  endif()
-  file(STRINGS "${GOLDEN_DIR}/bench_digests.sha256" entries REGEX "^[0-9a-f]+  ${NAME}/")
-  if(NOT entries)
-    message(FATAL_ERROR "bench_digests.sha256 has no ${NAME}/ entries")
-  endif()
-  foreach(entry IN LISTS entries)
-    string(REGEX REPLACE "^([0-9a-f]+)  ${NAME}/(.*)$" "\\1;\\2" parts "${entry}")
-    list(GET parts 0 expected)
-    list(GET parts 1 output)
-    file(SHA256 "${WORK_DIR}/${output}" actual)
-    if(NOT actual STREQUAL expected)
-      message(FATAL_ERROR "digest mismatch (${NAME}/${output}): got\n"
-                          "${actual}  ${NAME}/${output}")
-    endif()
-    message(STATUS "digest matches: ${NAME}/${output}")
-  endforeach()
+  run_in_work_dir(${args})
+  check_digests(${NAME})
 
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
